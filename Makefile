@@ -20,7 +20,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/par/... ./internal/jp/... ./internal/speculate/... ./internal/service/... ./internal/cluster/... ./internal/faultinject/... ./internal/retry/... ./internal/obs/... ./internal/recolor/... ./internal/quality/...
+	go test -race ./internal/par/... ./internal/jp/... ./internal/dynamic/... ./internal/speculate/... ./internal/service/... ./internal/cluster/... ./internal/faultinject/... ./internal/retry/... ./internal/obs/... ./internal/recolor/... ./internal/quality/...
 
 bench:
 	go test -run '^$$' -bench 'BenchmarkTable2Orderings|BenchmarkJP' -benchtime 3x .

@@ -1,6 +1,8 @@
 package dynamic
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,5 +79,30 @@ func TestAdoptColors(t *testing.T) {
 	}
 	if c.NumColors() != after {
 		t.Fatalf("rejected adoptions changed the maintained count: %d -> %d", after, c.NumColors())
+	}
+}
+
+// TestAdoptColorsHugeColorValue: a proper candidate with one color class
+// relabeled 4294967295 is counted without a color-indexed allocation
+// (it used to wrap the counter's length to 0 and panic) and rejected
+// for not using fewer colors.
+func TestAdoptColorsHugeColorValue(t *testing.T) {
+	g, err := gen.ErdosRenyiGNM(400, 3000, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewColored(g, Options{Procs: 2, Seed: 1})
+	before := c.Colors()
+	cand := c.Colors()
+	for v, col := range cand {
+		if col == 1 {
+			cand[v] = math.MaxUint32
+		}
+	}
+	if _, err := c.AdoptColors(cand); err == nil || !strings.Contains(err.Error(), "strictly fewer") {
+		t.Fatalf("relabeled candidate: err = %v, want a not-strictly-fewer rejection", err)
+	}
+	if got := c.Colors(); !reflect.DeepEqual(got, before) {
+		t.Fatal("rejected adoption changed the maintained coloring")
 	}
 }

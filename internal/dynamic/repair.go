@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/jp"
@@ -90,7 +91,7 @@ func NewColored(base *graph.Graph, opts Options) *Colored {
 	c := &Colored{ov: NewOverlay(base), opts: opts.withDefaults()}
 	colors, _ := c.fullColor(base)
 	c.colors = colors
-	c.numColors = countColors(colors)
+	c.numColors = verify.NumColors(colors)
 	return c
 }
 
@@ -140,7 +141,7 @@ func (c *Colored) AdoptColors(colors []uint32) (int, error) {
 	if err := verify.CheckProper(g, colors); err != nil {
 		return 0, fmt.Errorf("dynamic: adopt: candidate coloring invalid: %v", err)
 	}
-	nc := countColors(colors)
+	nc := verify.NumColors(colors)
 	if nc >= c.numColors {
 		return 0, fmt.Errorf("dynamic: adopt: candidate uses %d colors, not strictly fewer than the maintained %d", nc, c.numColors)
 	}
@@ -221,7 +222,7 @@ func (c *Colored) Apply(b Batch) (*Result, error) {
 		c.repairLocal(res)
 		c.repairs++
 	}
-	c.numColors = countColors(c.colors)
+	c.numColors = verify.NumColors(c.colors)
 	res.NumColors = c.numColors
 	if err := c.checkDirtyProper(dirty); err != nil {
 		return nil, err
@@ -254,6 +255,11 @@ func (c *Colored) repairLocal(res *Result) {
 	res.Rounds = rounds
 }
 
+// slotPool recycles RepairColors' dense vertex→dirty-slot index
+// (slot[v] = local index + 1, 0 for a vertex outside the dirty set).
+// Every pooled array is all-zero; see RepairColors.
+var slotPool = sync.Pool{New: func() any { return new([]int32) }}
+
 // RepairColors recolors exactly dirty in place: JP over the
 // dirty-induced subgraph under a fresh ADG ordering of that subgraph,
 // with the fixed distance-1 neighborhood contributing forbidden colors.
@@ -268,33 +274,67 @@ func (c *Colored) repairLocal(res *Result) {
 // ADG seed is mixed with salt so successive repairs draw fresh
 // tie-breaks while staying a deterministic function of (opts.Seed,
 // salt, dirty, colors): the result is bit-identical at any worker
-// count. It returns how many colors actually changed and the localized
-// JP pass's round count.
+// count. dirty must be duplicate-free. It returns how many colors
+// actually changed and the localized JP pass's round count.
+//
+// Cost: O(vol(dirty)) reads and no per-call O(n) work. One sequential
+// gather pass reads each dirty vertex's merged neighborhood once and
+// splits it, through a dense vertex→slot index, into the induced edge
+// list and the distinct fixed-neighbor colors that can constrain its
+// mex (1..deg+1); the JP rounds then read only the induced subgraph,
+// the dirty vertices' new colors and that fixed-color list, with no
+// per-arc hash lookup. The index is an n-entry array recycled through
+// slotPool, whose invariant is that every pooled array is all-zero
+// between calls: a call sets only its dirty entries and clears exactly
+// those before handing the array back, so it neither allocates nor
+// clears O(n) once the pool is warm.
 func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, salt uint64) (repaired, rounds int) {
 	opts = opts.withDefaults()
 	p := opts.Procs
 	nd := len(dirty)
-	idx := make(map[uint32]int32, nd)
-	for i, v := range dirty {
-		idx[v] = int32(i)
-	}
 
-	// Gather each dirty vertex's merged neighborhood once (the whole
-	// distance-1 read budget) and the induced local edge list.
-	adj := make([][]uint32, nd)
+	sp := slotPool.Get().(*[]int32)
+	if n := src.NumVertices(); len(*sp) < n {
+		*sp = make([]int32, n)
+	}
+	slot := *sp
+	for i, v := range dirty {
+		slot[v] = int32(i) + 1
+	}
+	deg := make([]int, nd)
+	fixOff := make([]int, nd+1)
+	// seen[c] == i+1 marks color c as already listed for dirty vertex i.
+	var fixed, buf, seen []uint32
 	var localEdges []graph.Edge
 	maxDeg := 0
 	for i, v := range dirty {
-		adj[i] = src.AppendNeighbors(nil, v)
-		if len(adj[i]) > maxDeg {
-			maxDeg = len(adj[i])
+		buf = src.AppendNeighbors(buf[:0], v)
+		d := len(buf)
+		deg[i] = d
+		if d > maxDeg {
+			maxDeg = d
 		}
-		for _, u := range adj[i] {
-			if j, ok := idx[u]; ok && int32(i) < j {
+		if len(seen) < d+2 {
+			seen = make([]uint32, d+2)
+		}
+		tag := uint32(i) + 1
+		for _, u := range buf {
+			if j := slot[u] - 1; j < 0 {
+				if cu := colors[u]; cu != 0 && int(cu) <= d+1 && seen[cu] != tag {
+					seen[cu] = tag
+					fixed = append(fixed, cu)
+				}
+			} else if int32(i) < j {
 				localEdges = append(localEdges, graph.Edge{U: uint32(i), V: uint32(j)})
 			}
 		}
+		fixOff[i+1] = len(fixed)
 	}
+	for _, v := range dirty {
+		slot[v] = 0
+	}
+	slotPool.Put(sp)
+
 	// The induced subgraph is tiny (bounded by the batch or conflict
 	// set); FromEdges cannot fail here — ids are local indices by
 	// construction.
@@ -329,17 +369,15 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 			st := states[w]
 			for fi := lo; fi < hi; fi++ {
 				i := fr[fi]
-				ns := adj[i]
-				deg := len(ns)
 				st.epoch++
-				for _, u := range ns {
-					var cu uint32
-					if j, ok := idx[u]; ok {
-						cu = newCol[j] // 0 until that dirty vertex is colored
-					} else {
-						cu = colors[u] // fixed distance-1 neighbor
-					}
-					if cu != 0 && int(cu) <= deg+1 {
+				for _, cu := range fixed[fixOff[i]:fixOff[i+1]] {
+					st.stamp[cu] = st.epoch
+				}
+				ns := sub.Neighbors(i)
+				d := deg[i]
+				for _, j := range ns {
+					// 0 until that dirty neighbor is colored.
+					if cu := newCol[j]; cu != 0 && int(cu) <= d+1 {
 						st.stamp[cu] = st.epoch
 					}
 				}
@@ -349,11 +387,9 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 				}
 				newCol[i] = nc
 				ki := keys[i]
-				for _, u := range ns {
-					if j, ok := idx[u]; ok && keys[j] < ki {
-						if par.Join(&counts[j]) {
-							st.next = append(st.next, uint32(j))
-						}
+				for _, j := range ns {
+					if keys[j] < ki && par.Join(&counts[j]) {
+						st.next = append(st.next, j)
 					}
 				}
 			}
@@ -398,25 +434,6 @@ func (c *Colored) checkDirtyProper(dirty []uint32) error {
 		}
 	}
 	return nil
-}
-
-// countColors counts distinct colors (uncolored vertices excluded).
-func countColors(colors []uint32) int {
-	max := uint32(0)
-	for _, c := range colors {
-		if c > max {
-			max = c
-		}
-	}
-	seen := make([]bool, max+1)
-	cnt := 0
-	for _, c := range colors {
-		if c != 0 && !seen[c] {
-			seen[c] = true
-			cnt++
-		}
-	}
-	return cnt
 }
 
 // dedupSorted sorts s and removes duplicates in place.

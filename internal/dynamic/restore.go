@@ -32,6 +32,6 @@ func RestoreColored(base *graph.Graph, colors []uint32, startVersion uint64, opt
 	c.ov.version = startVersion
 	c.ov.snapVer = startVersion // the memoized snapshot (base itself) is current
 	c.colors = append([]uint32(nil), colors...)
-	c.numColors = countColors(c.colors)
+	c.numColors = verify.NumColors(c.colors)
 	return c, nil
 }

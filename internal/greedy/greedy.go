@@ -8,6 +8,7 @@ package greedy
 import (
 	"repro/internal/graph"
 	"repro/internal/order"
+	"repro/internal/verify"
 )
 
 // Result reports a sequential coloring.
@@ -46,7 +47,7 @@ func colorSequence(g *graph.Graph, seq []uint32, n int) *Result {
 		}
 		colors[v] = c
 	}
-	return &Result{Colors: colors, NumColors: countColors(colors)}
+	return &Result{Colors: colors, NumColors: verify.NumColors(colors)}
 }
 
 // ID is Greedy-ID [1]: vertices are colored in incidence-degree order
@@ -142,7 +143,7 @@ func SD(g *graph.Graph) *Result {
 			}
 		}
 	}
-	return &Result{Colors: colors, NumColors: countColors(colors)}
+	return &Result{Colors: colors, NumColors: verify.NumColors(colors)}
 }
 
 // FF, LF, SL, R are the static-order Greedy baselines.
@@ -158,24 +159,6 @@ func SL(g *graph.Graph) *Result { return Color(g, order.SmallestLast(g)) }
 
 // R is Greedy in uniformly random order.
 func R(g *graph.Graph, seed uint64) *Result { return Color(g, order.Random(g, seed)) }
-
-func countColors(colors []uint32) int {
-	max := uint32(0)
-	for _, c := range colors {
-		if c > max {
-			max = c
-		}
-	}
-	seen := make([]bool, max+1)
-	n := 0
-	for _, c := range colors {
-		if c != 0 && !seen[c] {
-			seen[c] = true
-			n++
-		}
-	}
-	return n
-}
 
 // sortByKeyDesc returns vertex IDs sorted by decreasing key. Kept fully
 // sequential on purpose: the Greedy schemes are the Table III class-2

@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/par"
+	"repro/internal/verify"
 )
 
 // Result is the outcome of one JP run.
@@ -163,24 +164,6 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 		res.EdgesScanned += st.edges
 		res.AtomicOps += st.atoms
 	}
-	res.NumColors = countDistinct(colors)
+	res.NumColors = verify.NumColors(colors)
 	return res, nil
-}
-
-func countDistinct(colors []uint32) int {
-	max := uint32(0)
-	for _, c := range colors {
-		if c > max {
-			max = c
-		}
-	}
-	seen := make([]bool, max+1)
-	cnt := 0
-	for _, c := range colors {
-		if c != 0 && !seen[c] {
-			seen[c] = true
-			cnt++
-		}
-	}
-	return cnt
 }

@@ -207,8 +207,8 @@ func (s *Server) persistBatch(e *GraphEntry) func(version uint64, b dynamic.Batc
 		if e.persistBroken.Load() {
 			s.persistErrors.Add(1)
 			// Keep nudging the self-heal: a prior attempt may have aborted
-			// because a batch landed mid-write (compactGraph's CAS
-			// collapses concurrent triggers).
+			// because a batch landed mid-write (compactGraph coalesces
+			// concurrent triggers into one rerun).
 			s.scheduleCompact(e.Name)
 			return false
 		}
@@ -245,16 +245,24 @@ func (s *Server) scheduleCompact(name string) {
 // is never held across the snapshot file write: capture the immutable
 // (graph, colors, version) triple under the lock, write the snapshot
 // with traffic flowing, then retake the lock to commit (meta swap +
-// WAL reset) — aborting if a mutation advanced the version meanwhile
-// (the next threshold trigger retries). A successful commit also heals
-// degraded persistence: the snapshot holds the full in-memory state,
-// so the WAL gap is gone and appends resume.
+// WAL reset) — aborting if a mutation advanced the version meanwhile.
+// A successful commit also heals degraded persistence: the snapshot
+// holds the full in-memory state, so the WAL gap is gone and appends
+// resume.
+//
+// Triggers coalesce rather than drop: one that finds a compaction of
+// the graph running sets compactRerun and returns, and the runner
+// folds again while the flag is set — checked before it clears
+// compacting and once more after, so a request landing between its
+// last fold and its exit is taken over, not lost. A fold that aborts
+// because a batch moved the version is retried on that batch's own
+// threshold trigger, so once writes stop the last trigger's fold lands.
 //
 // The bool result reports whether the graph is in its fully-folded
 // state on return: true after a commit (or when there was nothing to
-// fold), false when the attempt was skipped or aborted — the admin
-// endpoint reports that honestly instead of claiming a fold that did
-// not happen.
+// fold), false when the attempt was aborted or handed to the running
+// compaction — the admin endpoint reports that honestly instead of
+// claiming a fold that did not happen.
 func (s *Server) compactGraph(name string) (bool, error) {
 	if s.st == nil {
 		return false, fmt.Errorf("%w: no data directory attached", ErrBadRequest)
@@ -266,11 +274,24 @@ func (s *Server) compactGraph(name string) (bool, error) {
 	if !s.st.Has(name) {
 		return false, fmt.Errorf("%w: graph %q is not persisted", ErrBadRequest, name)
 	}
-	if !e.compacting.CompareAndSwap(false, true) {
-		return false, nil // a compaction of this graph is already running
+	e.compactRerun.Store(true)
+	for e.compacting.CompareAndSwap(false, true) {
+		var folded bool
+		var err error
+		for e.compactRerun.Swap(false) {
+			folded, err = s.compactOnce(e, name)
+		}
+		e.compacting.Store(false)
+		if !e.compactRerun.Load() {
+			return folded, err
+		}
 	}
-	defer e.compacting.Store(false)
+	return false, nil // the running compaction folds again for us
+}
 
+// compactOnce is one compactGraph fold attempt; the caller holds the
+// entry's compacting flag.
+func (s *Server) compactOnce(e *GraphEntry, name string) (bool, error) {
 	// A quality adoption landing while the snapshot file is being
 	// written aborts the commit exactly like a mutation would — but
 	// unlike a mutation it has no later WAL-threshold trigger to retry
@@ -321,7 +342,8 @@ func (s *Server) compactGraph(name string) (bool, error) {
 		e.mu.Lock()
 		if e.dyn.Version() != version {
 			// A batch landed while the snapshot was being written; folding
-			// now would erase its WAL record. Let the next trigger retry.
+			// now would erase its WAL record. That batch's threshold
+			// trigger sets compactRerun, so the runner folds again.
 			pending.Abort()
 			e.mu.Unlock()
 			return false, nil

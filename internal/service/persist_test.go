@@ -360,6 +360,47 @@ func TestCloseWaitsForBackgroundCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactTriggersCoalesceToFinalFold: with every batch over the
+// compaction threshold, each mutation fires a background compaction
+// while earlier ones are still writing and abort on the version move.
+// Triggers that find a compaction running must be coalesced into a
+// rerun, not dropped, so after Close the durable snapshot holds the
+// final version with nothing left in the WAL.
+func TestCompactTriggersCoalesceToFinalFold(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(ManagerConfig{MaxInflight: 2, CacheEntries: 2})
+	s.AttachStore(st)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	addSpecGraph(t, ts, "g", "kron:7")
+	var last MutateResponse
+	for i := 0; i < 16; i++ {
+		last = mutateHTTP(t, ts, "g", MutateRequest{AddEdges: [][2]uint32{{uint32(i), uint32(i + 40)}}})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	recovered, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].SnapshotVersion != last.Version || len(recovered[0].Records) != 0 {
+		t.Fatalf("final fold missing: snapshot version %d with %d WAL records, want %d and 0",
+			recovered[0].SnapshotVersion, len(recovered[0].Records), last.Version)
+	}
+}
+
 // TestPersistDegradeAndSelfHeal: a batch applied without reaching the
 // WAL (here: injected via a direct Mutate with a nil persist hook —
 // the same shape as the register/mutate race or a failed fsync) must

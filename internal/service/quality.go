@@ -251,32 +251,11 @@ func (s *Server) handleRecolorInternal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err) // 404: we'll pick the coloring up at bootstrap/resync
 		return
 	}
-	adopted := false
-	e.mu.Lock()
-	if e.dyn == nil {
-		e.dyn = dynamic.NewColored(e.G, mutateOptions)
-	}
-	switch {
-	case e.dyn.Version() != ship.Version:
-		v := e.dyn.Version()
-		e.mu.Unlock()
-		writeError(w, fmt.Errorf("%w: recolor for %q at version %d, local version is %d", ErrConflict, ship.Graph, ship.Version, v))
+	adopted, nc, version, err := e.adoptShipment(ship)
+	if err != nil {
+		writeError(w, err)
 		return
-	case ship.NumColors >= e.dyn.NumColors():
-		// Already as good (an idempotent re-delivery, or our own worker
-		// got there first): ack without touching anything.
-	default:
-		if _, aerr := e.dyn.AdoptColors(ship.Colors); aerr != nil {
-			e.mu.Unlock()
-			writeError(w, fmt.Errorf("%w: shipped coloring rejected: %v", ErrBadRequest, aerr))
-			return
-		}
-		e.qualityGen.Add(1)
-		adopted = true
 	}
-	nc := e.dyn.NumColors()
-	version := e.dyn.Version()
-	e.mu.Unlock()
 	if adopted {
 		s.qtr.Observe(ship.Graph, nc, version)
 		s.qtr.RecordPass(ship.Graph, 0, 0, time.Now())
@@ -287,6 +266,32 @@ func (s *Server) handleRecolorInternal(w http.ResponseWriter, r *http.Request) {
 	}
 	s.updateQualityGauges(ship.Graph)
 	writeJSON(w, http.StatusOK, recolorAck{Graph: ship.Graph, Adopted: adopted, Colors: nc})
+}
+
+// adoptShipment adopts a shipped recolor into e's maintained coloring
+// under the entry's mutation lock, released by defer so no failure
+// inside the adoption can leave the graph locked. It returns whether
+// the coloring was adopted and the maintained count and version after.
+func (e *GraphEntry) adoptShipment(ship recolorShipment) (adopted bool, nc int, version uint64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.dyn == nil {
+		e.dyn = dynamic.NewColored(e.G, mutateOptions)
+	}
+	switch {
+	case e.dyn.Version() != ship.Version:
+		return false, 0, 0, fmt.Errorf("%w: recolor for %q at version %d, local version is %d", ErrConflict, ship.Graph, ship.Version, e.dyn.Version())
+	case ship.NumColors >= e.dyn.NumColors():
+		// Already as good (an idempotent re-delivery, or our own worker
+		// got there first): ack without touching anything.
+	default:
+		if _, err := e.dyn.AdoptColors(ship.Colors); err != nil {
+			return false, 0, 0, fmt.Errorf("%w: shipped coloring rejected: %v", ErrBadRequest, err)
+		}
+		e.qualityGen.Add(1)
+		adopted = true
+	}
+	return adopted, e.dyn.NumColors(), e.dyn.Version(), nil
 }
 
 // qualityDoc is the GET/PATCH /v1/graphs/{id}/quality response: the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/verify"
 )
@@ -345,5 +347,43 @@ func TestMutateRefoldsQuality(t *testing.T) {
 	e := mustEntry(t, s, "er")
 	if _, _, ver, _ := e.MaintainedColors(); ver != 1 {
 		t.Fatalf("maintained version %d after visit, want 1", ver)
+	}
+}
+
+// TestRecolorShipmentHugeColorRejected: a shipped coloring that is
+// proper but labels one class 4294967295 must be refused with a 4xx —
+// not panic the handler with the graph's mutation lock held — and the
+// graph must keep accepting mutations afterwards.
+func TestRecolorShipmentHugeColorRejected(t *testing.T) {
+	s, ts := newTestServer(t, ManagerConfig{MaxInflight: 2, CacheEntries: 4})
+	addSpecGraph(t, ts, "g", "kron:8")
+	mutateHTTP(t, ts, "g", MutateRequest{AddEdges: [][2]uint32{{0, 9}}})
+	e, err := s.Registry().Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors, _, version, ok := e.MaintainedColors()
+	if !ok {
+		t.Fatal("no maintained coloring after a mutation")
+	}
+	for v, c := range colors {
+		if c == 1 {
+			colors[v] = math.MaxUint32
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/internal/recolor",
+		recolorShipment{Graph: "g", Version: version, NumColors: 1, Colors: colors})
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("huge-color shipment: status %d (%s), want 4xx", resp.StatusCode, body)
+	}
+	done := make(chan MutateResponse, 1)
+	go func() { done <- mutateHTTP(t, ts, "g", MutateRequest{AddEdges: [][2]uint32{{1, 10}}}) }()
+	select {
+	case m := <-done:
+		if m.Version != version+1 {
+			t.Fatalf("mutate after the rejected shipment: version %d, want %d", m.Version, version+1)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("mutate after the rejected shipment blocked: the entry lock is still held")
 	}
 }

@@ -52,9 +52,12 @@ type GraphEntry struct {
 	// mu serializes mutations and guards the fields below. Coloring
 	// requests only hold it long enough to grab the current snapshot.
 	mu sync.Mutex
-	// compacting collapses concurrent compaction triggers for this
-	// entry (size-threshold fire-and-forget plus /v1/admin/compact).
-	compacting atomic.Bool
+	// compacting marks a running compaction of this entry (triggered
+	// by the WAL size threshold, degraded persistence, an adoption or
+	// /v1/admin/compact); compactRerun is a trigger that arrived while
+	// one ran and asks it to fold once more (see compactGraph).
+	compacting   atomic.Bool
+	compactRerun atomic.Bool
 	// persistBroken marks degraded durability: a WAL append failed (or
 	// a version gap was detected), so further appends are skipped until
 	// a compaction folds the in-memory state into a fresh snapshot.

@@ -183,12 +183,18 @@ func (s *Server) resyncFrom(name, peer string) (*GraphEntry, error) {
 	// a compaction captured from the PRE-resync state must never commit
 	// over the adopted snapshot (a same-version fork would pass its
 	// version re-check). compactGraph never blocks on this flag — a
-	// concurrent trigger just skips — so the spin only waits out a
-	// running compaction's bounded remainder.
+	// concurrent trigger just leaves a rerun request — so the spin only
+	// waits out a running compaction's bounded remainder, and a request
+	// left while the resync held the flag is run once it is released.
 	for !e.compacting.CompareAndSwap(false, true) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	defer e.compacting.Store(false)
+	defer func() {
+		e.compacting.Store(false)
+		if e.compactRerun.Load() {
+			s.scheduleCompact(name)
+		}
+	}()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

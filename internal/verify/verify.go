@@ -53,16 +53,36 @@ func IsProper(g *graph.Graph, colors []uint32, p int) bool {
 	return bad == 0
 }
 
-// NumColors returns the number of distinct colors used (assumes colors are
-// the positive integers handed out by the algorithms here; gaps allowed).
+// NumColors returns the number of distinct colors used; 0 (uncolored) is
+// not counted and gaps are allowed. It allocates O(len(colors)) bits
+// whatever the color values: colors 1..len(colors) — every color the
+// algorithms here hand out — are counted in a dense bitmap, and only
+// larger values, which can arrive from outside (an adopted coloring),
+// fall back to a map.
 func NumColors(colors []uint32) int {
-	seen := map[uint32]bool{}
+	n := uint64(len(colors))
+	seen := make([]uint64, n/64+1)
+	var big map[uint32]struct{}
+	cnt := 0
 	for _, c := range colors {
-		if c != 0 {
-			seen[c] = true
+		switch {
+		case c == 0:
+		case uint64(c) <= n:
+			if w, bit := c>>6, uint64(1)<<(c&63); seen[w]&bit == 0 {
+				seen[w] |= bit
+				cnt++
+			}
+		default:
+			if big == nil {
+				big = map[uint32]struct{}{}
+			}
+			if _, ok := big[c]; !ok {
+				big[c] = struct{}{}
+				cnt++
+			}
 		}
 	}
-	return len(seen)
+	return cnt
 }
 
 // MaxColor returns the largest color value used (0 for an empty coloring).

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -73,6 +75,27 @@ func TestNumColorsAndMaxColor(t *testing.T) {
 	}
 	if NumColors([]uint32{0, 0}) != 0 {
 		t.Fatal("uncolored vertices counted")
+	}
+}
+
+// TestNumColorsHugeValues: colors above len(colors) are counted exactly
+// and allocate nothing proportional to their value (a color near 2^31
+// must not cost a 2 GiB table, 2^32−1 must not wrap one to length 0).
+func TestNumColorsHugeValues(t *testing.T) {
+	colors := []uint32{1, math.MaxUint32, 1 << 31, math.MaxUint32, 0, 3, 1 << 31, 5}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := NumColors(colors)
+	runtime.ReadMemStats(&after)
+	if got != 5 {
+		t.Fatalf("NumColors=%d want 5", got)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16 {
+		t.Fatalf("NumColors of %d colors allocated %d bytes", len(colors), alloc)
+	}
+	// The dense/sparse boundary: len(colors) itself is a dense color.
+	if got := NumColors([]uint32{4, 4, 5, 2}); got != 3 {
+		t.Fatalf("NumColors at the dense bound=%d want 3", got)
 	}
 }
 
