@@ -1,11 +1,11 @@
-# The fmt/vet/build/test/race recipes below are the CI contract: they
-# must stay byte-for-byte identical to the run: lines of the `test` job
-# in .github/workflows/ci.yml (TestMakefileMatchesWorkflow enforces it),
-# so local `make ci` and the workflow can never drift.
+# The fmt/vet/build/test/race/flake recipes below are the CI contract:
+# they must stay byte-for-byte identical to the run: lines of the `test`
+# job in .github/workflows/ci.yml (TestMakefileMatchesWorkflow enforces
+# it), so local `make ci` and the workflow can never drift.
 
-.PHONY: ci fmt vet build test race bench json loadtest crashtest clustertest chaostest fuzz-smoke cover
+.PHONY: ci fmt vet build test race flake bench json loadtest crashtest clustertest chaostest fuzz-smoke cover
 
-ci: fmt vet build test race
+ci: fmt vet build test race flake
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -21,6 +21,12 @@ test:
 
 race:
 	go test -race ./internal/par/... ./internal/jp/... ./internal/dynamic/... ./internal/speculate/... ./internal/service/... ./internal/cluster/... ./internal/faultinject/... ./internal/retry/... ./internal/obs/... ./internal/recolor/... ./internal/quality/...
+
+# flake is the flake gate: the packages whose tests race real
+# listeners, WALs and background compactions, run 20 times under the
+# race detector, so a test that fails one run in twenty fails CI.
+flake:
+	go test -race -count=20 ./internal/service/ ./internal/store/ ./internal/cluster/
 
 bench:
 	go test -run '^$$' -bench 'BenchmarkTable2Orderings|BenchmarkJP' -benchtime 3x .

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMakefileMatchesWorkflow pins the CI contract: the fmt/vet/build/
-// test/race recipe lines of the Makefile `ci` target must be
+// test/race/flake recipe lines of the Makefile `ci` target must be
 // byte-for-byte the run: lines of the workflow's `test` job, so local
 // `make ci` and GitHub CI can never drift apart. Makefile recipes
 // escape `$` as `$$`; that unescaping is the only transformation
@@ -16,7 +16,7 @@ func TestMakefileMatchesWorkflow(t *testing.T) {
 	mk := makefileRecipes(t, "Makefile")
 	wf := workflowRunLines(t, ".github/workflows/ci.yml", "test:")
 
-	order := []string{"fmt", "vet", "build", "test", "race"}
+	order := []string{"fmt", "vet", "build", "test", "race", "flake"}
 	if len(wf) != len(order) {
 		t.Fatalf("workflow test job has %d run lines %v, want %d (one per ci step %v)",
 			len(wf), wf, len(order), order)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/greedy"
@@ -56,29 +55,6 @@ func TestJPEqualsSequentialGreedyForEveryOrdering(t *testing.T) {
 					break
 				}
 			}
-		}
-	}
-}
-
-// TestCorePackageAgreesWithFacade ensures the internal/core composition
-// and the public facade run the same underlying algorithms.
-func TestCorePackageAgreesWithFacade(t *testing.T) {
-	g, err := gen.Kronecker(10, 8, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.Params{Epsilon: 0.1, Procs: 2, Seed: 5}
-	out, err := core.JPADG(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Color(g, JPADG, Options{Epsilon: 0.1, Procs: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range out.Colors {
-		if out.Colors[v] != res.Colors[v] {
-			t.Fatalf("core.JPADG and facade JP-ADG disagree at vertex %d", v)
 		}
 	}
 }

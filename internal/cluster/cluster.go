@@ -17,9 +17,9 @@
 // alive<->down transition bumps the cluster epoch; the service layer
 // uses the epoch to decide when a primary must re-verify it is caught
 // up before accepting writes. Failback races are bounded by the probe
-// interval and are detected, not prevented — see the divergence notes
-// in internal/service; a production deployment wants leases or quorum
-// (ROADMAP).
+// interval; the service layer fences a deposed primary with write
+// leases and detects a forked chain on the replication stream (see
+// internal/service).
 package cluster
 
 import (

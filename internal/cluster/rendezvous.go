@@ -12,8 +12,7 @@ import (
 // Replicas nodes are the placement set (primary first); failover walks
 // the same order, so every member computes identical ownership from
 // nothing but the static member list — no coordinator, no rebalancing
-// state, and adding a node later only moves ~1/N of the graphs
-// (ROADMAP: dynamic membership).
+// state, and adding a node would move only ~1/N of the graphs.
 
 // score hashes a (node, graph) pair. FNV-1a gives a cheap
 // well-distributed 64-bit base; the splitmix64 finalizer on top

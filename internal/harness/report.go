@@ -43,7 +43,7 @@ type AlgoRecord struct {
 const MatrixRecordSchemaVersion = 1
 
 // MatrixRecord is one cell of the family × algorithm × worker-count
-// benchmark matrix (ROADMAP item 5(b)): one algorithm run on one suite
+// benchmark matrix: one algorithm run on one suite
 // graph at one worker count, with the paper's quality bound evaluated
 // against the measured palette. colorbench -matrix emits a flat list of
 // these; BENCH_PR8.json is the first published sweep.

@@ -5,7 +5,7 @@
 // (the SLO), and a Runner drives idle-time iterated-greedy recoloring
 // passes (internal/recolor) that only ever tighten those counts — the
 // Sarıyüce et al. iterative-recoloring result turned into a daemon
-// feature (ROADMAP item 3).
+// feature.
 //
 // The package owns state and scheduling only; what a "pass" does (run
 // recolor.IteratedGreedyContext over a registered graph's maintained

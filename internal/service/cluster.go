@@ -11,7 +11,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -35,9 +34,9 @@ import (
 //     guard), replication (the active primary streams every applied
 //     batch to its replicas — synchronously, before the client ack,
 //     so a kill -9 of the primary loses no acknowledged mutation),
-//     and catch-up (a promoted or rejoining node pulls the WAL tail
-//     it is missing from a peer before accepting writes; until then
-//     writes get 503 + Retry-After).
+//     and catch-up (a promoted or rejoining node syncs from its peers
+//     before accepting writes; until then writes get 503 +
+//     Retry-After).
 //
 // Replication reuses the store's WAL machinery end to end: the batch
 // payload on the wire is the dynamic.Batch binary codec (the WAL's
@@ -47,17 +46,15 @@ import (
 // the primary's, and the tail feed for catch-up is a plain WAL read
 // (store.TailRecords).
 //
-// Self-healing (see resync.go): upload-format graphs bootstrap onto a
-// replica that was down at registration time by shipping a full
-// checksummed snapshot, a WAL compacted past a straggler's version
-// escalates the same way, and a replica whose version chain forked
-// below a provably-ahead primary adopts the primary's snapshot
-// wholesale. A same-version fork (failback race inside one probe
-// interval — which the lease protocol prevents for majority-alive
-// clusters) is detected by the per-batch hash carried on the
-// replication stream and surfaces as a "diverged" replica in
-// /v1/cluster/status rather than being silently merged; it heals
-// automatically once one side moves ahead.
+// Self-healing (see resync.go): every gap, fork or missed registration
+// heals through one path, syncFrom — a WAL tail replay when the tail
+// extends the local chain, a reset to the peer's base (spec or
+// snapshot) plus the tail otherwise. A same-version fork (failback
+// race inside one probe interval — which the lease protocol prevents
+// for majority-alive clusters) is detected by the per-batch hash
+// carried on the replication stream and surfaces as a "diverged"
+// replica in /v1/cluster/status rather than being silently merged; it
+// heals automatically once one side moves ahead.
 
 // Cluster HTTP headers. Forwarded marks a proxied client request (the
 // hop guard: a forwarded request is never forwarded again); Replicated
@@ -282,19 +279,16 @@ func (s *Server) routeRead(w http.ResponseWriter, r *http.Request, graph string,
 	if ok && primary == c.Self() {
 		// We are the active primary and don't hold the graph. Either it
 		// exists on our placement peers and we missed the registration
-		// (down at the time — bootstrap it now and serve), or it exists
+		// (down at the time — ensureSynced bootstraps it), or it exists
 		// nowhere: fall through to local handling so the client gets the
 		// same 404 single-node mode produces — a hop rejection or
 		// self-proxy here would dress a permanent miss up as a
 		// retryable 503.
-		if _, err := s.bootstrapMissingGraph(graph); err != nil {
-			// err already classifies itself (ErrUnavailable for the
-			// snapshot-shipping / failed-catch-up cases).
-			w.Header().Set("Retry-After", "1")
+		if _, err := s.ensureSynced(graph); err != nil && !errors.Is(err, ErrNotFound) {
 			writeError(w, err)
 			return true
 		}
-		return false // bootstrapped (serve locally) or a genuine 404
+		return false
 	}
 	if from := r.Header.Get(forwardedHeader); from != "" {
 		s.clusterHopRejections.Add(1)
@@ -420,13 +414,14 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, graph, target str
 
 // replicateRequest is the POST /v1/internal/replicate body: one
 // applied batch, identified by the version it produced, carrying the
-// hash of the previous batch (fork detection), the graph's spec (lazy
-// replica bootstrap for spec-built graphs) and the sender's base URL
-// (where a gapped replica pulls the missing tail from).
+// hash of the previous batch (fork detection), the sender's peerState
+// (version, fold point and spec: the evidence a gapped or forked
+// replica syncs on) and the sender's base URL (where it syncs from).
 type replicateRequest struct {
 	Graph    string `json:"graph"`
 	Version  uint64 `json:"version"`
 	PrevHash uint64 `json:"prevHash"`
+	Fold     uint64 `json:"fold"`
 	Spec     string `json:"spec,omitempty"`
 	From     string `json:"from"`
 	// Batch is the dynamic.Batch binary codec (the WAL record payload
@@ -484,6 +479,7 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 		Graph:    e.Name,
 		Version:  version,
 		PrevHash: e.lastBatchHash, // hash of version-1's batch (caller holds e.mu)
+		Fold:     s.foldPoint(e.Name, version),
 		Spec:     e.Spec,
 		From:     c.Self(),
 		Batch:    base64.StdEncoding.EncodeToString(enc),
@@ -515,10 +511,10 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 			s.clusterReplErrors.Add(1)
 			c.ReportFailure(peer, err)
 		case status == http.StatusConflict:
-			// The replica proved its chain diverged from ours (or holds a
-			// graph shape replication cannot reconcile). Record it; the
-			// operator resolves via /v1/cluster/status + resync (ROADMAP:
-			// automated snapshot shipping).
+			// The replica proved its chain diverged from ours while it
+			// believes it is the primary (or holds a graph shape
+			// replication cannot reconcile). Record it: /v1/cluster/status
+			// shows it until one side moves ahead and the other resets.
 			s.clusterReplErrors.Add(1)
 			s.cl.setDiverged(e.Name, peer, fmt.Sprintf("replicating version %d: replica refused (conflict)", version))
 		case status != http.StatusOK:
@@ -661,11 +657,12 @@ var (
 // apply (a mismatch means the two nodes applied different batches at
 // the same version — a forked chain that must surface, not merge).
 // persist is the local WAL hook, same contract as Mutate's. Returns
-// whether the batch was applied, whether it is durably logged (the
-// persist hook's verdict — false when the hook is absent or degraded;
-// an idempotent re-delivery reports the degraded flag's current state,
-// mirroring Mutate's no-op rule), and the entry's version afterwards.
-func (e *GraphEntry) ApplyReplicated(version, prevHash uint64, b dynamic.Batch, persist func(uint64, dynamic.Batch) bool) (applied, persisted bool, cur uint64, err error) {
+// the repair result of a fresh apply (nil for an idempotent
+// re-delivery), whether the batch is durably logged (the persist
+// hook's verdict — false when the hook is absent or degraded; a
+// re-delivery reports the degraded flag's current state, mirroring
+// Mutate's no-op rule), and the entry's version afterwards.
+func (e *GraphEntry) ApplyReplicated(version, prevHash uint64, b dynamic.Batch, persist func(uint64, dynamic.Batch) bool) (res *dynamic.Result, persisted bool, cur uint64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dyn == nil {
@@ -675,35 +672,35 @@ func (e *GraphEntry) ApplyReplicated(version, prevHash uint64, b dynamic.Batch, 
 	if version <= cur {
 		// Already have it (re-delivery): ack idempotently, reporting the
 		// durability the stored copy actually has.
-		return false, persist != nil && !e.persistBroken.Load(), cur, nil
+		return nil, persist != nil && !e.persistBroken.Load(), cur, nil
 	}
 	if version != cur+1 {
-		return false, false, cur, fmt.Errorf("%w: record at version %d, local head %d", errReplGap, version, cur)
+		return nil, false, cur, fmt.Errorf("%w: record at version %d, local head %d", errReplGap, version, cur)
 	}
 	if prevHash != 0 && e.lastBatchHash != 0 && prevHash != e.lastBatchHash {
-		return false, false, cur, fmt.Errorf("%w: sender's batch %d differs from ours", errReplDiverged, cur)
+		return nil, false, cur, fmt.Errorf("%w: sender's batch %d differs from ours", errReplDiverged, cur)
 	}
-	res, err := e.dyn.Apply(b)
+	res, err = e.dyn.Apply(b)
 	if err != nil {
-		return false, false, cur, fmt.Errorf("%w: applying replicated batch for version %d: %v", errReplDiverged, version, err)
+		return nil, false, cur, fmt.Errorf("%w: applying replicated batch for version %d: %v", errReplDiverged, version, err)
 	}
 	if res.Version != version {
 		// The same batch on the same state must reach the same version
 		// (determinism); anything else means the states differ.
-		return false, false, res.Version, fmt.Errorf("%w: replicated batch reached version %d, sender says %d",
+		return nil, false, res.Version, fmt.Errorf("%w: replicated batch reached version %d, sender says %d",
 			errReplDiverged, res.Version, version)
 	}
 	if persist != nil {
 		persisted = persist(version, b)
 	}
 	e.lastBatchHash = batchHash(version, &b)
-	return true, persisted, version, nil
+	return res, persisted, version, nil
 }
 
 // handleReplicate serves POST /v1/internal/replicate: the replica half
-// of the replication stream. Gapped deliveries self-heal by pulling
-// the missing tail from the sender before applying; spec-built graphs
-// bootstrap lazily when the replica never saw the registration.
+// of the replication stream. A record the replica cannot apply — a
+// gap, a fork below the sender, a graph it never saw — heals through
+// syncFrom before the record is applied.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, fmt.Errorf("%w: %s on /v1/internal/replicate (want POST)", ErrMethodNotAllowed, r.Method))
@@ -733,73 +730,46 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry, err := s.reg.Get(req.Graph)
-	if err != nil {
-		// Lazy replica bootstrap: a spec-built graph whose registration
-		// fan-out never reached us (we were down) is rebuilt from the
-		// spec alone; an upload's bytes live only in peers' snapshots,
-		// so ship one from the sender.
-		switch {
-		case req.Spec != "" && !isUploadSpec(req.Spec):
-			entry, err = s.RegisterSpec(req.Graph, req.Spec)
-		case req.From != "":
-			entry, err = s.resyncFrom(req.Graph, req.From)
-		default:
-			writeError(w, fmt.Errorf("%w: replica does not hold %q and the record names no sender to resync from (spec %q)",
-				ErrConflict, req.Graph, req.Spec))
-			return
-		}
-		if err != nil {
-			unavailable(w, fmt.Errorf("bootstrapping replica of %q: %v", req.Graph, err))
-			return
-		}
+	var res *dynamic.Result
+	var persisted bool
+	var cur uint64
+	if err == nil {
+		res, persisted, cur, err = entry.ApplyReplicated(req.Version, req.PrevHash, batch, s.persistBatch(entry))
 	}
-	applied, persisted, cur, err := entry.ApplyReplicated(req.Version, req.PrevHash, batch, s.persistBatch(entry))
-	if err != nil && req.From != "" && (errors.Is(err, errReplGap) || errors.Is(err, errReplDiverged)) {
-		var serr error
-		if errors.Is(err, errReplGap) {
-			// Pull the records between our head and the carried batch
-			// from the sender's WAL (escalating to a snapshot transfer
-			// when they are compacted away), then retry the batch itself.
-			serr = s.syncFromSender(entry, req.From, req.Version)
-		} else if s.cl.c.IsActivePrimary(req.Graph) {
-			// Our chain forked from the sender's while WE believe we are
-			// the graph's active primary: adopting the sender's history
-			// would silently discard writes we acked under that belief.
-			// Refuse; the conflict stays visible on both sides until the
-			// views reconcile (the lease protocol prevents this from
-			// arising with majority-alive clusters).
-			serr = err
-		} else {
-			// We are a replica whose chain forked below the sender's:
-			// the sender's history is the acked one — adopt it wholesale
-			// (the streamed version is the ahead-evidence) and replay any
-			// tail between the shipped snapshot and the carried batch.
-			if serr = s.adoptFromSender(entry, req.From, req.Version, err); serr == nil {
-				serr = s.catchUpFrom(entry, req.From)
-			}
+	switch {
+	case err == nil:
+	case req.From == "" || req.Fold >= req.Version:
+		// No sender to sync from, or one that keeps no WAL for the graph
+		// (its fold point is the record's version): it could feed us only
+		// a snapshot captured under the entry lock it holds until we
+		// answer. The gap stays visible in the sender's watermark.
+	case errors.Is(err, errReplDiverged) && s.cl.c.IsActivePrimary(req.Graph):
+		// Our chain forked from the sender's while WE believe we are the
+		// graph's active primary: adopting the sender's history would
+		// silently discard writes we acked under that belief. Refuse; the
+		// conflict stays visible on both sides until the views reconcile
+		// (the lease protocol prevents this from arising with
+		// majority-alive clusters).
+	default:
+		// A gap, a fork below the sender, or a registration we missed:
+		// sync from the sender — the record is the evidence that it holds
+		// its version — then apply the record itself.
+		if entry, err = s.syncFrom(req.Graph, req.From, peerState{Version: req.Version, Fold: req.Fold, Spec: req.Spec}, err); err == nil {
+			res, persisted, cur, err = entry.ApplyReplicated(req.Version, req.PrevHash, batch, s.persistBatch(entry))
 		}
-		if serr != nil {
-			if errors.Is(serr, errReplDiverged) {
-				writeError(w, fmt.Errorf("%w: %v", ErrDiverged, serr))
-			} else {
-				unavailable(w, fmt.Errorf("replica cannot sync %q from %s: %v", req.Graph, req.From, serr))
-			}
-			return
-		}
-		applied, persisted, cur, err = entry.ApplyReplicated(req.Version, req.PrevHash, batch, s.persistBatch(entry))
 	}
 	switch {
 	case errors.Is(err, errReplDiverged):
 		writeError(w, fmt.Errorf("%w: %v", ErrDiverged, err))
 		return
 	case err != nil:
-		unavailable(w, err)
+		unavailable(w, fmt.Errorf("replica cannot apply version %d of %q from %s: %v", req.Version, req.Graph, req.From, err))
 		return
 	}
-	if applied {
-		s.cacheInvalidations.Add(int64(s.mgr.Cache().DeleteGraph(req.Graph)))
+	if res != nil {
+		s.received(req.Graph, res.NumColors, res.Version)
 	}
-	writeJSONCompact(w, http.StatusOK, replicateResponse{Graph: req.Graph, Version: cur, Persisted: persisted, Applied: applied})
+	writeJSONCompact(w, http.StatusOK, replicateResponse{Graph: req.Graph, Version: cur, Persisted: persisted, Applied: res != nil})
 }
 
 // isUploadSpec reports whether spec names an uploaded payload (whose
@@ -857,261 +827,11 @@ func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
 	writeJSONCompact(w, http.StatusOK, resp)
 }
 
-// handleVersion serves GET /v1/internal/version?graph=G: this node's
-// local version (and spec) of the graph, never routed — the cheap
-// probe peers use to decide whether they are behind, and the seed a
-// placement peer that missed the registration bootstraps from.
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, fmt.Errorf("%w: %s on /v1/internal/version (want GET)", ErrMethodNotAllowed, r.Method))
-		return
-	}
-	name := r.URL.Query().Get("graph")
-	e, err := s.reg.Get(name)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSONCompact(w, http.StatusOK, map[string]interface{}{"graph": name, "version": e.Version(), "spec": e.Spec})
-}
-
-// peerVersion asks peer for its local version and spec of name.
-// ok=false when the peer does not hold the graph.
-func (s *Server) peerVersion(peer, name string) (version uint64, spec string, ok bool, err error) {
-	var resp *http.Response
-	err = internalRetry.Do(context.Background(), func(context.Context) error {
-		var err error
-		resp, err = s.cl.replClient.Get(peer + "/v1/internal/version?graph=" + url.QueryEscape(name))
-		return err
-	})
-	if err != nil {
-		return 0, "", false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return 0, "", false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, "", false, fmt.Errorf("version probe status %d", resp.StatusCode)
-	}
-	var v struct {
-		Version uint64 `json:"version"`
-		Spec    string `json:"spec"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&v); err != nil {
-		return 0, "", false, err
-	}
-	return v.Version, v.Spec, true, nil
-}
-
-// bootstrapMissingGraph covers the hole the lazy replicate-side
-// bootstrap cannot: a node that was down when a graph was registered
-// and is now that graph's ACTIVE PRIMARY — no peer will ever stream
-// to it, so without this every request for the graph would 404 off
-// the primary while its replicas hold the data. Ask the alive
-// placement peers whether they hold name: spec-built graphs are
-// rebuilt from the spec and caught up from the peer's WAL tail;
-// upload-format graphs cannot be (their bytes live only in peers'
-// snapshots — ROADMAP: snapshot shipping), which is an explicit
-// unavailable error rather than a misleading 404. (nil, nil) means no
-// peer holds it: a genuine 404.
-func (s *Server) bootstrapMissingGraph(name string) (*GraphEntry, error) {
-	if s.cl == nil {
-		return nil, nil
-	}
-	c := s.cl.c
-	for _, peer := range c.Placement(name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		_, spec, ok, err := s.peerVersion(peer, name)
-		if err != nil {
-			c.ReportFailure(peer, err)
-			continue
-		}
-		c.ReportSuccess(peer)
-		if !ok {
-			continue
-		}
-		var e *GraphEntry
-		if spec == "" || isUploadSpec(spec) {
-			// Upload payloads exist only as peers' snapshots: ship one
-			// (this also lands the state at the peer's fold version, so
-			// the catch-up below only replays the WAL suffix).
-			if e, err = s.resyncFrom(name, peer); err != nil {
-				return nil, fmt.Errorf("%w: %s holds %q but snapshot resync failed: %v", ErrUnavailable, peer, name, err)
-			}
-		} else if e, err = s.RegisterSpec(name, spec); err != nil {
-			return nil, err
-		}
-		if err := s.syncFrom(e, peer); err != nil {
-			return nil, fmt.Errorf("%w: bootstrapped %q from %s but catch-up failed: %v", ErrUnavailable, name, peer, err)
-		}
-		fmt.Fprintf(os.Stderr, "service: bootstrapped graph %q (spec %s) from peer %s at version %d\n",
-			name, spec, peer, e.Version())
-		return e, nil
-	}
-	return nil, nil
-}
-
-// catchUpFrom pulls the WAL tail past our local version from peer and
-// applies it through the replicated-apply path (so it lands in our WAL
-// too). Returns nil when we end at least at the version the peer
-// reported when we started.
-//
-// Fork guard: the first fetch asks for one record of OVERLAP (after =
-// local-1) so the peer's record at our head version can be compared
-// against our own last batch's hash. If they differ, the two nodes
-// applied different batches at the same version — a forked chain that
-// catch-up must refuse to paper over by stacking the peer's tail on a
-// different base (syncFrom escalates the refusal to a full snapshot
-// adoption when the peer is provably ahead). The overlap check is
-// skipped when we have no hash (fresh graph, a compacted WAL on
-// either side, or a just-adopted snapshot).
-func (s *Server) catchUpFrom(e *GraphEntry, peer string) error {
-	verified := false
-	for {
-		local := e.Version()
-		after := local
-		var wantHash uint64
-		if !verified {
-			e.mu.Lock()
-			wantHash = e.lastBatchHash
-			e.mu.Unlock()
-			if local > 0 && wantHash != 0 {
-				after = local - 1
-			}
-		}
-		overlap := after < local
-		var resp *http.Response
-		err := internalRetry.Do(context.Background(), func(context.Context) error {
-			var err error
-			resp, err = s.cl.replClient.Get(peer + "/v1/internal/tail?graph=" + url.QueryEscape(e.Name) + "&after=" + strconv.FormatUint(after, 10))
-			return err
-		})
-		if err != nil {
-			s.cl.c.ReportFailure(peer, err)
-			return err
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxUploadBytes))
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			if overlap {
-				// The overlap record may be compacted away on the peer;
-				// retry without the fork check rather than failing a
-				// legitimate catch-up.
-				verified = true
-				continue
-			}
-			if resp.StatusCode == http.StatusConflict {
-				// The peer's WAL cannot serve this tail (records folded
-				// into a snapshot): classify so syncFrom escalates to a
-				// snapshot transfer instead of failing the sync.
-				return fmt.Errorf("%w: tail fetch from %s: %s", errNeedSnapshot, peer, bytes.TrimSpace(body))
-			}
-			return fmt.Errorf("tail fetch from %s: status %d: %s", peer, resp.StatusCode, bytes.TrimSpace(body))
-		}
-		var tail tailResponse
-		if err := json.Unmarshal(body, &tail); err != nil {
-			return fmt.Errorf("tail fetch from %s: %v", peer, err)
-		}
-		records := tail.Records
-		if overlap {
-			verified = true
-			if len(records) > 0 && records[0].Version == local {
-				b, err := decodeWireBatch(records[0].Batch)
-				if err != nil {
-					return fmt.Errorf("tail record %d: %v", records[0].Version, err)
-				}
-				if batchHash(local, &b) != wantHash {
-					reason := fmt.Sprintf("catch-up refused: %s's batch at version %d differs from ours (forked chain)", peer, local)
-					s.cl.setDiverged(e.Name, peer, reason)
-					return fmt.Errorf("%w: %s", errReplDiverged, reason)
-				}
-				records = records[1:]
-			}
-		}
-		if len(records) == 0 {
-			return nil // caught up with everything the peer can serve
-		}
-		for _, rec := range records {
-			b, err := decodeWireBatch(rec.Batch)
-			if err != nil {
-				return fmt.Errorf("tail record %d: %v", rec.Version, err)
-			}
-			applied, _, _, err := e.ApplyReplicated(rec.Version, 0, b, s.persistBatch(e))
-			if err != nil {
-				return fmt.Errorf("applying tail record %d: %v", rec.Version, err)
-			}
-			if applied {
-				s.clusterCatchups.Add(1)
-				s.cacheInvalidations.Add(int64(s.mgr.Cache().DeleteGraph(e.Name)))
-			}
-		}
-	}
-}
-
-// ensureSynced makes sure this node is caught up on e before it acts
-// as the graph's write owner. Cheap in steady state (one atomic epoch
-// compare); after a membership transition — a promotion, or this node
-// rejoining after a crash — it asks every alive placement peer for its
-// version and pulls whatever tail it is missing — escalating to a full
-// snapshot transfer when the tail is compacted away or the chains
-// forked (syncFrom). An alive peer that is provably ahead but cannot
-// feed us even then keeps us read-only for the graph: accepting a
-// write would fork the version chain, so the caller turns the error
-// into 503 + Retry-After and the client retries after the pull
-// succeeds.
-func (s *Server) ensureSynced(e *GraphEntry) error {
-	if s.cl == nil {
-		return nil
-	}
-	c := s.cl.c
-	epoch := c.Epoch()
-	e.mu.Lock()
-	synced := e.syncedEpoch == epoch
-	e.mu.Unlock()
-	if synced {
-		return nil
-	}
-	for _, peer := range c.Placement(e.Name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		pv, _, has, err := s.peerVersion(peer, e.Name)
-		if err != nil {
-			// An unreachable peer cannot hold the graph hostage: the
-			// fail-stop model says it is down (the report accelerates the
-			// liveness verdict) and we are the best remaining authority.
-			c.ReportFailure(peer, err)
-			continue
-		}
-		c.ReportSuccess(peer)
-		if !has || pv <= e.Version() {
-			continue
-		}
-		if err := s.syncFrom(e, peer); err != nil {
-			return fmt.Errorf("catching up %q from %s: %v", e.Name, peer, err)
-		}
-		if e.Version() < pv {
-			return fmt.Errorf("%s holds %q at version %d but can only feed us to %d (tail and snapshot resync both fell short)",
-				peer, e.Name, pv, e.Version())
-		}
-	}
-	e.mu.Lock()
-	e.syncedEpoch = epoch
-	e.mu.Unlock()
-	return nil
-}
-
 // fanoutRegistration replicates a fresh registration to the graph's
 // alive placement peers by re-POSTing the original upload body with
 // the internal replication header. Best-effort: a down replica
-// bootstraps lazily from the spec at first replication (spec-built
-// graphs) or waits for snapshot shipping (uploads, ROADMAP); failures
+// bootstraps through syncFrom at the first replication record it
+// receives (from the spec, or from a snapshot for uploads); failures
 // are gauged, never fail the client's registration.
 func (s *Server) fanoutRegistration(name string, body []byte, reqID string) {
 	c := s.cl.c

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -100,8 +101,7 @@ func (s *Server) routeColorRead(w http.ResponseWriter, r *http.Request, req Colo
 		// We are the key's home but were down when the graph was
 		// registered: bootstrap from the placement peers, or fall
 		// through to the same 404 single-node mode produces.
-		if _, err := s.bootstrapMissingGraph(req.Graph); err != nil {
-			w.Header().Set("Retry-After", "1")
+		if _, err := s.ensureSynced(req.Graph); err != nil && !errors.Is(err, ErrNotFound) {
 			writeError(w, err)
 			return true
 		}

@@ -217,31 +217,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, name strin
 	if s.routeWrite(w, r, name, body) {
 		return
 	}
-	entry, err := s.reg.Get(name)
-	if err != nil {
-		// We are this graph's active primary (routeWrite sent everyone
-		// else away) yet don't hold it: if a placement peer does, we
-		// missed its registration while down — rebuild and catch up
-		// instead of 404ing writes off the primary forever.
-		e, berr := s.bootstrapMissingGraph(name)
-		switch {
-		case berr != nil:
-			s.mutateErrors.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, berr)
-			return
-		case e == nil:
-			fail(err) // no peer holds it either: a genuine 404
-			return
-		}
-		entry = e
-	}
 	// A just-promoted or just-rejoined primary must be caught up to
 	// everything its peers acked before it may mint new versions —
-	// otherwise two nodes assign the same version to different batches.
-	if err := s.ensureSynced(entry); err != nil {
-		s.mutateErrors.Add(1)
-		unavailable(w, err)
+	// otherwise two nodes assign the same version to different batches
+	// — and one that missed the registration while down bootstraps the
+	// graph instead of 404ing its writes forever.
+	entry, err := s.ensureSynced(name)
+	if err != nil {
+		fail(err)
 		return
 	}
 	// With leases enabled, being the active primary in our own view is

@@ -185,6 +185,11 @@ func (e *GraphEntry) MaintainedColors() (colors []uint32, numColors int, version
 func (e *GraphEntry) Version() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.version()
+}
+
+// version is Version for a caller that holds e.mu.
+func (e *GraphEntry) version() uint64 {
 	if e.dyn == nil {
 		return 0
 	}

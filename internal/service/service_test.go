@@ -511,9 +511,11 @@ func TestColorNaNEpsilonRejected(t *testing.T) {
 	if _, err := s.Registry().Add("k8", "kron:8", g); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Manager().Color(context.Background(), ColorRequest{Graph: "k8", Algorithm: "JP-ADG", Epsilon: math.NaN()})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("NaN epsilon: want ErrBadRequest, got %v", err)
+	for _, eps := range []float64{math.NaN(), -1} {
+		_, err = s.Manager().Color(context.Background(), ColorRequest{Graph: "k8", Algorithm: "JP-ADG", Epsilon: eps})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("epsilon %v: want ErrBadRequest, got %v", eps, err)
+		}
 	}
 }
 

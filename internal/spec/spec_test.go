@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/order"
 	"repro/internal/verify"
 )
 
@@ -70,8 +71,9 @@ func TestAllSpeculativeSchemesProper(t *testing.T) {
 
 func TestDECQualityBounds(t *testing.T) {
 	// Claim 2 (DEC-ADG) and §IV-C (DEC-ADG-ITR): color counts stay within
-	// the degeneracy-based guarantees. ε = 5 is inside the paper's valid
-	// band 4 < ε ≤ 8.
+	// the degeneracy-based guarantees, and the ADG decomposition (run at
+	// ε/12) within its Lemma 1 round bound. ε = 5 is inside the paper's
+	// valid band 4 < ε ≤ 8.
 	eps := 5.0
 	for gname, g := range testGraphs(t) {
 		if g.NumVertices() == 0 {
@@ -86,6 +88,9 @@ func TestDECQualityBounds(t *testing.T) {
 			bound := DECQualityBound(a.name, d, eps)
 			if err := verify.AssertBound(a.name, res.NumColors, bound); err != nil {
 				t.Errorf("%s: %v (d=%d)", gname, err, d)
+			}
+			if rounds := order.TheoreticalIterationBound(g.NumVertices(), eps/12); a.name != "DEC-ADG-M" && res.OrderIterations > rounds {
+				t.Errorf("%s/%s: %d ADG rounds exceed bound %d", gname, a.name, res.OrderIterations, rounds)
 			}
 		}
 	}

@@ -412,9 +412,9 @@ func (s *Store) LastVersion(name string) (uint64, error) {
 // replays it through the same apply path the original mutations took.
 // When after predates the snapshot the WAL records start from (the
 // batches were folded by compaction), the tail cannot be served from
-// the log and the caller needs a full snapshot transfer instead
-// (ROADMAP: snapshot shipping); that case is an error naming the
-// snapshot version so the caller can tell it from a plain miss.
+// the log and the caller needs a full snapshot transfer instead; that
+// case is an error naming the snapshot version so the caller can tell
+// it from a plain miss.
 func (s *Store) TailRecords(name string, after uint64) ([]WALRecord, error) {
 	gs, err := s.lookup(name)
 	if err != nil {
