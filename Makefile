@@ -72,7 +72,9 @@ chaostest:
 
 # fuzz-smoke gives each fuzz target a short budget (the CI gate; seed
 # corpora live in internal/graphio/testdata/fuzz and
-# internal/store/testdata/fuzz). Raise FUZZTIME locally for a real hunt.
+# internal/store/testdata/fuzz). FuzzMutateRequestDecode checks the
+# mutate body's edge decoder against encoding/json. Raise FUZZTIME
+# locally for a real hunt.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test ./internal/graphio -run '^$$' -fuzz 'FuzzParseDIMACS$$' -fuzztime $(FUZZTIME)
@@ -81,6 +83,7 @@ fuzz-smoke:
 	go test ./internal/store -run '^$$' -fuzz 'FuzzSnapshot$$' -fuzztime $(FUZZTIME)
 	go test ./internal/store -run '^$$' -fuzz 'FuzzWAL$$' -fuzztime $(FUZZTIME)
 	go test ./internal/service -run '^$$' -fuzz 'FuzzDecodeColorBin$$' -fuzztime $(FUZZTIME)
+	go test ./internal/service -run '^$$' -fuzz 'FuzzMutateRequestDecode$$' -fuzztime $(FUZZTIME)
 
 # cover enforces the >= 80% statement-coverage floor on the core
 # packages (graph, jp, order, spec, verify, dynamic, store, cluster,

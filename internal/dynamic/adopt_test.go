@@ -3,10 +3,12 @@ package dynamic
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/recolor"
 	"repro/internal/verify"
 )
@@ -85,7 +87,10 @@ func TestAdoptColors(t *testing.T) {
 // TestAdoptColorsHugeColorValue: a proper candidate with one color class
 // relabeled 4294967295 is counted without a color-indexed allocation
 // (it used to wrap the counter's length to 0 and panic) and rejected
-// for not using fewer colors.
+// for not using fewer colors. A strictly better candidate carrying that
+// color is adopted, and the maintained count, kept per color from then
+// on, matches a recount after the adoption and after a repair that
+// moves a vertex off the huge color.
 func TestAdoptColorsHugeColorValue(t *testing.T) {
 	g, err := gen.ErdosRenyiGNM(400, 3000, 1, 2)
 	if err != nil {
@@ -104,5 +109,49 @@ func TestAdoptColorsHugeColorValue(t *testing.T) {
 	}
 	if got := c.Colors(); !reflect.DeepEqual(got, before) {
 		t.Fatal("rejected adoption changed the maintained coloring")
+	}
+
+	var improved []uint32
+	for seed := uint64(1); seed < 64 && improved == nil; seed++ {
+		res, err := recolor.IteratedGreedy(g, before, recolor.RandomOrder, 20, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumColors < c.NumColors() {
+			improved = res.Colors
+		}
+	}
+	if improved == nil {
+		t.Skip("no strict improvement found on the fixture graph")
+	}
+	var huge []uint32 // the vertices relabeled to the huge color
+	for v, col := range improved {
+		if col == 1 {
+			improved[v] = math.MaxUint32
+			huge = append(huge, uint32(v))
+		}
+	}
+	if _, err := c.AdoptColors(improved); err != nil {
+		t.Fatalf("adopting a strict improvement carrying color %d: %v", uint32(math.MaxUint32), err)
+	}
+	if want := verify.NumColors(c.Colors()); c.NumColors() != want {
+		t.Fatalf("after adoption: NumColors %d, recount %d", c.NumColors(), want)
+	}
+	// A color class is independent, so joining its vertices in a cycle
+	// inserts only conflicts: the repair recolors the whole class, each
+	// vertex to at most deg+1, and the huge color disappears.
+	var b Batch
+	for i, u := range huge {
+		b.AddEdges = append(b.AddEdges, graph.Edge{U: u, V: huge[(i+1)%len(huge)]})
+	}
+	res, err := c.Apply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(c.Colors(), math.MaxUint32) {
+		t.Fatal("the repair left a vertex on the huge color")
+	}
+	if want := verify.NumColors(c.Colors()); res.Fallback || res.NumColors != want || c.NumColors() != want {
+		t.Fatalf("after repair: fallback %v, result %d colors, NumColors %d, recount %d", res.Fallback, res.NumColors, c.NumColors(), want)
 	}
 }

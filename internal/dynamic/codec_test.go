@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/verify"
 	"repro/internal/xrand"
 )
 
@@ -134,12 +135,16 @@ func TestRestoreColoredContinuesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Version() != midVersion || restored.NumColors() == 0 {
-		t.Fatalf("restored at version %d numColors %d", restored.Version(), restored.NumColors())
+	if restored.Version() != midVersion || restored.NumColors() != verify.NumColors(midColors) {
+		t.Fatalf("restored at version %d numColors %d, want %d", restored.Version(), restored.NumColors(), verify.NumColors(midColors))
 	}
 	for _, b := range batches[mid:] {
-		if _, err := restored.Apply(b); err != nil {
+		res, err := restored.Apply(b)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if want := verify.NumColors(restored.Colors()); res.NumColors != want || restored.NumColors() != want {
+			t.Fatalf("version %d: result %d colors, NumColors %d, recount %d", res.Version, res.NumColors, restored.NumColors(), want)
 		}
 	}
 	if restored.Version() != ref.Version() {

@@ -22,7 +22,7 @@ package dynamic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -73,6 +73,17 @@ func (d *Diff) Empty() bool {
 // overlay that was never mutated reads straight through to the base and
 // snapshots to it without copying.
 //
+// The lists live in one compact slice of entries, deltas, reached
+// through a dense vertex index, slot: slot[v] is 1 + the index of v's
+// entry, or 0 for a vertex whose lists are both empty. Finding a
+// vertex's lists is one array read with no hashing, and the index costs
+// 4 bytes per vertex where a dense pair of lists per vertex would cost
+// 48. An entry whose lists empty out is released for reuse, so deltas
+// holds about one entry per vertex with a live delta. An edit is a
+// binary search plus an insert or delete in one vertex's list, so a
+// batch costs O(batch · (log deg + list length)) with no O(n) term;
+// only AddVertices grows slot, by the vertices it appends.
+//
 // Overlay is not safe for concurrent use; callers (the service layer's
 // GraphEntry) serialize access.
 type Overlay struct {
@@ -80,15 +91,20 @@ type Overlay struct {
 	baseN int
 	n     int
 	m     int64
-	// add[v] / del[v] are sorted neighbor deltas; both directions of
-	// every overlay edge are stored, mirroring CSR symmetry.
-	add map[uint32][]uint32
-	del map[uint32][]uint32
+	// slot has one entry per vertex, deltas one per vertex with a delta
+	// (plus released ones). Both directions of every overlay edge are
+	// stored, mirroring CSR symmetry.
+	slot   []int32
+	deltas []delta
+	free   []int32 // slot values of released entries, for reuse
 
 	version uint64
 	snap    *graph.Graph
 	snapVer uint64
 }
+
+// delta holds one vertex's sorted inserted and deleted neighbors.
+type delta struct{ add, del []uint32 }
 
 // NewOverlay wraps base (which must stay immutable) at version 0.
 func NewOverlay(base *graph.Graph) *Overlay {
@@ -97,8 +113,7 @@ func NewOverlay(base *graph.Graph) *Overlay {
 		baseN: base.NumVertices(),
 		n:     base.NumVertices(),
 		m:     base.NumEdges(),
-		add:   make(map[uint32][]uint32),
-		del:   make(map[uint32][]uint32),
+		slot:  make([]int32, base.NumVertices()),
 		snap:  base,
 	}
 }
@@ -114,24 +129,64 @@ func (o *Overlay) NumEdges() int64 { return o.m }
 // key component that makes stale colorings unservable downstream.
 func (o *Overlay) Version() uint64 { return o.version }
 
+// at returns v's delta entry, or nil for a vertex without one (or out
+// of range). The pointer is valid until the next entry call.
+func (o *Overlay) at(v uint32) *delta {
+	if int(v) < len(o.slot) {
+		if s := o.slot[v]; s != 0 {
+			return &o.deltas[s-1]
+		}
+	}
+	return nil
+}
+
+// entry is at, giving v an entry on first use: a released one, whose
+// lists keep their capacity, before a new one.
+func (o *Overlay) entry(v uint32) *delta {
+	if o.slot[v] == 0 {
+		if k := len(o.free); k > 0 {
+			o.slot[v], o.free = o.free[k-1], o.free[:k-1]
+		} else {
+			o.deltas = append(o.deltas, delta{})
+			o.slot[v] = int32(len(o.deltas))
+		}
+	}
+	return &o.deltas[o.slot[v]-1]
+}
+
+// release frees v's entry once both of its lists are empty.
+func (o *Overlay) release(v uint32) {
+	if d := o.at(v); len(d.add) == 0 && len(d.del) == 0 {
+		o.free = append(o.free, o.slot[v])
+		o.slot[v] = 0
+	}
+}
+
+// lists returns v's inserted and deleted neighbors.
+func (o *Overlay) lists(v uint32) (add, del []uint32) {
+	if d := o.at(v); d != nil {
+		return d.add, d.del
+	}
+	return nil, nil
+}
+
 // Degree returns the merged degree of v.
 func (o *Overlay) Degree(v uint32) int {
-	d := len(o.add[v])
+	add, del := o.lists(v)
+	d := len(add)
 	if int(v) < o.baseN {
-		d += o.base.Degree(v) - len(o.del[v])
+		d += o.base.Degree(v) - len(del)
 	}
 	return d
 }
 
 // HasEdge reports whether {u, v} is currently an edge.
 func (o *Overlay) HasEdge(u, v uint32) bool {
-	if containsSorted(o.add[u], v) {
+	add, del := o.lists(u)
+	if containsSorted(add, v) {
 		return true
 	}
-	if int(u) >= o.baseN || int(v) >= o.baseN {
-		return false
-	}
-	return o.base.HasEdge(u, v) && !containsSorted(o.del[u], v)
+	return o.baseHasEdge(u, v) && !containsSorted(del, v)
 }
 
 // AppendNeighbors appends the merged sorted neighbor list of v to buf
@@ -139,12 +194,11 @@ func (o *Overlay) HasEdge(u, v uint32) bool {
 // and the insertion list in lockstep, so the output is sorted and
 // duplicate-free like a CSR row.
 func (o *Overlay) AppendNeighbors(buf []uint32, v uint32) []uint32 {
-	var base, del []uint32
+	add, del := o.lists(v)
+	var base []uint32
 	if int(v) < o.baseN {
 		base = o.base.Neighbors(v)
-		del = o.del[v]
 	}
-	add := o.add[v]
 	di, ai := 0, 0
 	for _, u := range base {
 		for di < len(del) && del[di] < u {
@@ -187,8 +241,13 @@ func (o *Overlay) Apply(b Batch) (*Diff, error) {
 		}
 	}
 
-	diff := &Diff{NewVertices: b.AddVertices}
+	diff := &Diff{
+		Added:       make([]graph.Edge, 0, len(b.AddEdges)),
+		Removed:     make([]graph.Edge, 0, len(b.DelEdges)),
+		NewVertices: b.AddVertices,
+	}
 	o.n = n
+	o.slot = append(o.slot, make([]int32, b.AddVertices)...)
 	// DelVertices expands to the deletion of every incident edge, using
 	// the merged adjacency as of this point in the batch.
 	var scratch []uint32
@@ -220,34 +279,34 @@ func (o *Overlay) Apply(b Batch) (*Diff, error) {
 func (o *Overlay) insertEdge(u, v uint32) bool {
 	if o.baseHasEdge(u, v) {
 		// Present in base: live unless deleted; re-adding undeletes.
-		if removeSorted(o.del, u, v) {
-			removeSorted(o.del, v, u)
-			o.m++
-			return true
+		if d := o.at(u); d == nil || !removeSorted(&d.del, v) {
+			return false
 		}
+		removeSorted(&o.at(v).del, u)
+		o.release(u)
+		o.release(v)
+	} else if insertSorted(&o.entry(u).add, v) {
+		insertSorted(&o.entry(v).add, u)
+	} else {
 		return false
 	}
-	if insertSorted(o.add, u, v) {
-		insertSorted(o.add, v, u)
-		o.m++
-		return true
-	}
-	return false
+	o.m++
+	return true
 }
 
 // deleteEdge makes {u, v} absent; reports whether it was present.
 func (o *Overlay) deleteEdge(u, v uint32) bool {
-	if removeSorted(o.add, u, v) {
-		removeSorted(o.add, v, u)
-		o.m--
-		return true
+	if d := o.at(u); d != nil && removeSorted(&d.add, v) {
+		removeSorted(&o.at(v).add, u)
+		o.release(u)
+		o.release(v)
+	} else if o.baseHasEdge(u, v) && insertSorted(&o.entry(u).del, v) {
+		insertSorted(&o.entry(v).del, u)
+	} else {
+		return false
 	}
-	if o.baseHasEdge(u, v) && insertSorted(o.del, u, v) {
-		insertSorted(o.del, v, u)
-		o.m--
-		return true
-	}
-	return false
+	o.m--
+	return true
 }
 
 func (o *Overlay) baseHasEdge(u, v uint32) bool {
@@ -287,37 +346,27 @@ func canonical(u, v uint32) graph.Edge {
 }
 
 func containsSorted(s []uint32, v uint32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	_, found := slices.BinarySearch(s, v)
+	return found
 }
 
-// insertSorted adds v to m[u]'s sorted list; reports whether it was new.
-func insertSorted(m map[uint32][]uint32, u, v uint32) bool {
-	s := m[u]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+// insertSorted adds v to the sorted list *s; reports whether it was new.
+func insertSorted(s *[]uint32, v uint32) bool {
+	i, found := slices.BinarySearch(*s, v)
+	if found {
 		return false
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	m[u] = s
+	*s = slices.Insert(*s, i, v)
 	return true
 }
 
-// removeSorted removes v from m[u]'s sorted list; reports whether it
+// removeSorted removes v from the sorted list *s; reports whether it
 // was present.
-func removeSorted(m map[uint32][]uint32, u, v uint32) bool {
-	s := m[u]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
+func removeSorted(s *[]uint32, v uint32) bool {
+	i, found := slices.BinarySearch(*s, v)
+	if !found {
 		return false
 	}
-	s = append(s[:i], s[i+1:]...)
-	if len(s) == 0 {
-		delete(m, u)
-	} else {
-		m[u] = s
-	}
+	*s = slices.Delete(*s, i, i+1)
 	return true
 }

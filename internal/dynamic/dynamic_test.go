@@ -104,6 +104,24 @@ func TestOverlayBasics(t *testing.T) {
 	if snap.NumVertices() != 5 || snap.NumEdges() != 3 {
 		t.Fatalf("snapshot n=%d m=%d", snap.NumVertices(), snap.NumEdges())
 	}
+
+	// Vertex 1 gets a deletion and an insertion; removing the insertion
+	// again must keep the deletion.
+	for _, b := range []Batch{
+		{DelEdges: []graph.Edge{{U: 1, V: 2}}, AddEdges: []graph.Edge{{U: 1, V: 3}}},
+		{DelEdges: []graph.Edge{{U: 3, V: 1}}},
+	} {
+		if _, err := ov.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ov.HasEdge(1, 2) || ov.HasEdge(2, 1) || ov.HasEdge(1, 3) || ov.Degree(1) != 1 || ov.NumEdges() != 2 {
+		t.Fatalf("after delete+insert+undo: m=%d deg(1)=%d {1,2}:%v {1,3}:%v",
+			ov.NumEdges(), ov.Degree(1), ov.HasEdge(1, 2), ov.HasEdge(1, 3))
+	}
+	if nb := ov.AppendNeighbors(nil, 1); len(nb) != 1 || nb[0] != 0 {
+		t.Fatalf("neighbors of 1: %v, want [0]", nb)
+	}
 }
 
 func TestOverlayRejectsBadBatches(t *testing.T) {
@@ -140,6 +158,16 @@ func TestOverlayMatchesModel(t *testing.T) {
 		var b Batch
 		if round%7 == 3 {
 			b.AddVertices = 1 + rng.Intn(3)
+		}
+		if round == 20 {
+			// The slot index grows inside this Apply: the new vertices
+			// get edges to each other and to old ones at once.
+			b.AddVertices = 4
+			for i := uint32(0); i < 4; i++ {
+				b.AddEdges = append(b.AddEdges,
+					graph.Edge{U: uint32(n) + i, V: uint32(n) + (i+1)%4},
+					graph.Edge{U: uint32(rng.Intn(n)), V: uint32(n) + i})
+			}
 		}
 		for i := 0; i < 10; i++ {
 			u := uint32(rng.Intn(n + b.AddVertices))
@@ -190,6 +218,11 @@ func TestOverlayMatchesModel(t *testing.T) {
 		for k := range model {
 			if !ov.HasEdge(k[0], k[1]) {
 				t.Fatalf("round %d: model edge (%d,%d) missing from overlay", round, k[0], k[1])
+			}
+		}
+		for v := 0; v < n; v++ {
+			if ov.Degree(uint32(v)) != want.Degree(uint32(v)) {
+				t.Fatalf("round %d: overlay degree of %d is %d, model %d", round, v, ov.Degree(uint32(v)), want.Degree(uint32(v)))
 			}
 		}
 	}
@@ -301,8 +334,10 @@ func TestRepairDeterminism(t *testing.T) {
 }
 
 // TestRepairMaintainsProperness drives mixed batches (inserts, deletes,
-// vertex adds/isolations) and checks the maintained coloring against a
-// fresh snapshot after every batch.
+// vertex adds/isolations, and one batch adding so many vertices that it
+// trips the fallback recolor) and checks the maintained coloring against
+// a fresh snapshot, and the maintained color count against a recount,
+// after every batch.
 func TestRepairMaintainsProperness(t *testing.T) {
 	g := mustGraph(t)(gen.ErdosRenyiGNM(300, 1500, 11, 1))
 	c := NewColored(g, Options{Procs: 2, Seed: 8})
@@ -312,6 +347,9 @@ func TestRepairMaintainsProperness(t *testing.T) {
 		n := c.Overlay().NumVertices()
 		if round%5 == 2 {
 			b.AddVertices = 1 + rng.Intn(4)
+		}
+		if round == 13 {
+			b.AddVertices = n / 2
 		}
 		if round%9 == 4 {
 			b.DelVertices = []uint32{uint32(rng.Intn(n))}
@@ -336,12 +374,12 @@ func TestRepairMaintainsProperness(t *testing.T) {
 		if err := verify.CheckProper(snap, c.Colors()); err != nil {
 			t.Fatalf("round %d (version %d): %v", round, res.Version, err)
 		}
-		if res.NumColors != c.NumColors() {
-			t.Fatalf("round %d: result reports %d colors, Colored %d", round, res.NumColors, c.NumColors())
+		if want := verify.NumColors(c.Colors()); res.NumColors != want || c.NumColors() != want {
+			t.Fatalf("round %d: result reports %d colors, Colored %d, recount %d", round, res.NumColors, c.NumColors(), want)
 		}
 	}
-	if c.Repairs() == 0 {
-		t.Fatal("no batch exercised the localized repair path")
+	if c.Repairs() == 0 || c.FullRecolors() != 1 {
+		t.Fatalf("%d localized repairs and %d fallbacks, want some and 1", c.Repairs(), c.FullRecolors())
 	}
 }
 

@@ -2,7 +2,7 @@ package dynamic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -75,12 +75,19 @@ type Result struct {
 // Colored maintains a proper coloring of a mutable graph. Mutation
 // batches are applied through Apply, which repairs the coloring
 // incrementally. Colored is not safe for concurrent use.
+//
+// The color count is maintained, not recounted: counts holds the number
+// of vertices of each color, rebuilt in O(n) only where the whole
+// coloring is replaced (NewColored, RestoreColored, AdoptColors and a
+// fallback recolor) and otherwise updated over the vertices a repair
+// recolored. With the overlay's per-vertex index, one Apply therefore
+// costs O(batch · log deg + vol(dirty)) and no O(n) term.
 type Colored struct {
 	ov     *Overlay
 	opts   Options
 	colors []uint32
+	counts colorCounts
 
-	numColors    int
 	repairs      int
 	fullRecolors int
 }
@@ -91,7 +98,7 @@ func NewColored(base *graph.Graph, opts Options) *Colored {
 	c := &Colored{ov: NewOverlay(base), opts: opts.withDefaults()}
 	colors, _ := c.fullColor(base)
 	c.colors = colors
-	c.numColors = verify.NumColors(colors)
+	c.counts = countColors(colors)
 	return c
 }
 
@@ -102,7 +109,7 @@ func (c *Colored) Overlay() *Overlay { return c.ov }
 func (c *Colored) Version() uint64 { return c.ov.Version() }
 
 // NumColors returns the current coloring's distinct color count.
-func (c *Colored) NumColors() int { return c.numColors }
+func (c *Colored) NumColors() int { return c.counts.distinct }
 
 // FullRecolors returns how many Applies fell back to a full recolor.
 func (c *Colored) FullRecolors() int { return c.fullRecolors }
@@ -141,13 +148,13 @@ func (c *Colored) AdoptColors(colors []uint32) (int, error) {
 	if err := verify.CheckProper(g, colors); err != nil {
 		return 0, fmt.Errorf("dynamic: adopt: candidate coloring invalid: %v", err)
 	}
-	nc := verify.NumColors(colors)
-	if nc >= c.numColors {
-		return 0, fmt.Errorf("dynamic: adopt: candidate uses %d colors, not strictly fewer than the maintained %d", nc, c.numColors)
+	counts := countColors(colors)
+	if counts.distinct >= c.counts.distinct {
+		return 0, fmt.Errorf("dynamic: adopt: candidate uses %d colors, not strictly fewer than the maintained %d", counts.distinct, c.counts.distinct)
 	}
-	saved := c.numColors - nc
+	saved := c.counts.distinct - counts.distinct
 	c.colors = append([]uint32(nil), colors...)
-	c.numColors = nc
+	c.counts = counts
 	return saved, nil
 }
 
@@ -210,7 +217,7 @@ func (c *Colored) Apply(b Batch) (*Result, error) {
 	dirty = dedupSorted(dirty)
 	res.Dirty = dirty
 	if len(dirty) == 0 {
-		res.NumColors = c.numColors
+		res.NumColors = c.NumColors()
 		return res, nil
 	}
 
@@ -222,8 +229,7 @@ func (c *Colored) Apply(b Batch) (*Result, error) {
 		c.repairLocal(res)
 		c.repairs++
 	}
-	c.numColors = verify.NumColors(c.colors)
-	res.NumColors = c.numColors
+	res.NumColors = c.NumColors()
 	if err := c.checkDirtyProper(dirty); err != nil {
 		return nil, err
 	}
@@ -243,16 +249,82 @@ func (c *Colored) fallbackRecolor(res *Result) error {
 		return fresh[v] != c.colors[v]
 	})
 	c.colors = fresh
+	c.counts = countColors(fresh)
 	c.fullRecolors++
 	return nil
 }
 
-// repairLocal recolors exactly res.Dirty over the overlay; see
-// RepairColors for the engine itself.
+// repairLocal recolors exactly res.Dirty over the overlay (see
+// RepairColors for the engine itself) and moves each recolored vertex
+// between the per-color counts.
 func (c *Colored) repairLocal(res *Result) {
+	old := make([]uint32, len(res.Dirty))
+	for i, v := range res.Dirty {
+		old[i] = c.colors[v]
+	}
 	repaired, rounds := RepairColors(c.ov, c.colors, res.Dirty, c.opts, c.ov.Version())
+	for i, v := range res.Dirty {
+		if c.colors[v] != old[i] {
+			c.counts.add(old[i], -1)
+			c.counts.add(c.colors[v], 1)
+		}
+	}
 	res.Repaired = repaired
 	res.Rounds = rounds
+}
+
+// denseColors bounds colorCounts' slice: colors below it are counted
+// there, in at most 512 KiB. Every color this package hands out is a
+// mex over a neighborhood, at most deg+1, so only an adopted coloring
+// carries larger ones (any uint32 value), and those go to a map.
+const denseColors = 1 << 16
+
+// colorCounts counts the vertices of each color, so the number of
+// distinct colors follows a recoloring at O(1) per recolored vertex
+// and no color value ever sizes an array.
+type colorCounts struct {
+	dense    []int
+	big      map[uint32]int
+	distinct int
+}
+
+// countColors counts a whole coloring in O(n).
+func countColors(colors []uint32) colorCounts {
+	var cc colorCounts
+	for _, col := range colors {
+		cc.add(col, 1)
+	}
+	return cc
+}
+
+// add adds delta to the count of color col; color 0 (uncolored) is not
+// counted.
+func (cc *colorCounts) add(col uint32, delta int) {
+	var k int
+	switch {
+	case col == 0:
+		return
+	case col < denseColors:
+		if int(col) >= len(cc.dense) {
+			cc.dense = append(cc.dense, make([]int, int(col)+1-len(cc.dense))...)
+		}
+		cc.dense[col] += delta
+		k = cc.dense[col]
+	default:
+		if cc.big == nil {
+			cc.big = map[uint32]int{}
+		}
+		cc.big[col] += delta
+		if k = cc.big[col]; k == 0 {
+			delete(cc.big, col)
+		}
+	}
+	switch {
+	case delta > 0 && k == delta:
+		cc.distinct++
+	case delta < 0 && k == 0:
+		cc.distinct--
+	}
 }
 
 // slotPool recycles RepairColors' dense vertex→dirty-slot index
@@ -438,16 +510,6 @@ func (c *Colored) checkDirtyProper(dirty []uint32) error {
 
 // dedupSorted sorts s and removes duplicates in place.
 func dedupSorted(s []uint32) []uint32 {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
+	slices.Sort(s)
+	return slices.Compact(s)
 }

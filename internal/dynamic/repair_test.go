@@ -342,3 +342,57 @@ func BenchmarkRepairColors(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkColoredApply times one Colored.Apply of mutate_rw-shaped
+// batches (64 new random edges, minus the 64 the batch 32 earlier
+// inserted, after 32 insert-only batches of warm-up) at two sizes 64×
+// apart. Apply is O(batch · log deg + vol(dirty)), so time and bytes per
+// op should stay within a small factor of each other across sizes.
+func BenchmarkColoredApply(b *testing.B) {
+	const batchEdges, batchLag = 64, 32
+	for _, scale := range []int{10, 16} {
+		b.Run(fmt.Sprintf("kron:%d", scale), func(b *testing.B) {
+			g := mustGraph(b)(gen.Kronecker(scale, 16, 1, 0))
+			// The stream is generated on a shadow overlay before the
+			// clock starts, so only Apply is timed.
+			shadow := NewOverlay(g)
+			rng := xrand.New(7)
+			n := g.NumVertices()
+			var inserted [][]graph.Edge
+			batches := make([]Batch, batchLag+b.N)
+			for i := range batches {
+				seen := map[graph.Edge]bool{}
+				var add []graph.Edge
+				for len(add) < batchEdges {
+					u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+					e := canonical(u, v)
+					if u != v && !seen[e] && !shadow.HasEdge(u, v) {
+						seen[e] = true
+						add = append(add, e)
+					}
+				}
+				inserted = append(inserted, add)
+				batches[i].AddEdges = add
+				if i >= batchLag {
+					batches[i].DelEdges = inserted[i-batchLag]
+				}
+				if _, err := shadow.Apply(batches[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c := NewColored(g, Options{Seed: 1, Epsilon: 0.01, FallbackFraction: 0.25})
+			for _, bt := range batches[:batchLag] {
+				if _, err := c.Apply(bt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, bt := range batches[batchLag:] {
+				if _, err := c.Apply(bt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

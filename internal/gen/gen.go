@@ -106,16 +106,21 @@ func BarabasiAlbert(n, k int, seed uint64, p int) (*graph.Graph, error) {
 			targets = append(targets, uint32(u), uint32(v))
 		}
 	}
+	// picks lists the k distinct targets in draw order: ranging over a
+	// map would take Go's randomized order, so every later draw, and the
+	// graph, would differ from run to run.
 	chosen := make(map[uint32]bool, k)
+	picks := make([]uint32, 0, k)
 	for v := k + 1; v < n; v++ {
-		for id := range chosen {
-			delete(chosen, id)
+		clear(chosen)
+		picks = picks[:0]
+		for len(picks) < k {
+			if t := targets[r.Intn(len(targets))]; !chosen[t] {
+				chosen[t] = true
+				picks = append(picks, t)
+			}
 		}
-		for len(chosen) < k {
-			t := targets[r.Intn(len(targets))]
-			chosen[t] = true
-		}
-		for t := range chosen {
+		for _, t := range picks {
 			edges = append(edges, graph.Edge{U: uint32(v), V: t})
 			targets = append(targets, uint32(v), t)
 		}

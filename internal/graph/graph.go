@@ -7,7 +7,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/sortutil"
@@ -80,9 +80,8 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // MaxDegree returns Δ, or 0 for an empty graph.

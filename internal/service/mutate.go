@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -35,12 +37,95 @@ var mutateOptions = dynamic.Options{Seed: 1, Epsilon: 0.01, FallbackFraction: 0.
 // the batch is addVertices, delVertices, delEdges, addEdges (see
 // dynamic.Batch).
 type MutateRequest struct {
-	AddVertices int         `json:"addVertices"`
-	DelVertices []uint32    `json:"delVertices"`
-	AddEdges    [][2]uint32 `json:"addEdges"`
-	DelEdges    [][2]uint32 `json:"delEdges"`
+	AddVertices int       `json:"addVertices"`
+	DelVertices []uint32  `json:"delVertices"`
+	AddEdges    EdgePairs `json:"addEdges"`
+	DelEdges    EdgePairs `json:"delEdges"`
 	// IncludeColors asks for the maintained coloring after repair.
 	IncludeColors bool `json:"includeColors"`
+}
+
+// EdgePairs is a list of [u, v] edge pairs. It decodes exactly as
+// [][2]uint32 does: the same JSON is accepted, with the same values,
+// and the same JSON is rejected. The plain shape, an array of arrays of
+// two decimal integers below 2^32, is parsed in one pass without
+// reflection; any other input (null, a pair of another length, a sign,
+// a fraction or exponent, a string, an out-of-range value) goes to
+// encoding/json. Like encoding/json, a decode reuses the slice's
+// backing array, which shows only when a key repeats in one object.
+type EdgePairs [][2]uint32
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *EdgePairs) UnmarshalJSON(b []byte) error {
+	if pairs, ok := parseEdgePairs(b, (*p)[:0]); ok {
+		*p = pairs
+		return nil
+	}
+	return json.Unmarshal(b, (*[][2]uint32)(p))
+}
+
+// parseEdgePairs appends the pairs of b, which must read [[u,v],…] with
+// JSON whitespace anywhere between tokens, to out; ok is false for any
+// other input. An empty array yields a non-nil empty slice, as
+// encoding/json's does.
+func parseEdgePairs(b []byte, out [][2]uint32) (_ [][2]uint32, ok bool) {
+	i := 0
+	skip := func() {
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+			i++
+		}
+	}
+	next := func(c byte) bool {
+		skip()
+		if i < len(b) && b[i] == c {
+			i++
+			return true
+		}
+		return false
+	}
+	num := func() (uint32, bool) {
+		skip()
+		start := i
+		var v uint64
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if v = v*10 + uint64(b[i]-'0'); v > math.MaxUint32 {
+				return 0, false
+			}
+		}
+		// JSON numbers have no leading zeros.
+		return uint32(v), i > start && (b[start] != '0' || i == start+1)
+	}
+	if !next('[') {
+		return nil, false
+	}
+	if next(']') {
+		skip()
+		return [][2]uint32{}, i == len(b)
+	}
+	if cap(out) == 0 {
+		out = make([][2]uint32, 0, max(bytes.Count(b, []byte{']'})-1, 0))
+	}
+	for {
+		if !next('[') {
+			return nil, false
+		}
+		u, okU := num()
+		if !okU || !next(',') {
+			return nil, false
+		}
+		v, okV := num()
+		if !okV || !next(']') {
+			return nil, false
+		}
+		out = append(out, [2]uint32{u, v})
+		if next(']') {
+			skip()
+			return out, i == len(b)
+		}
+		if !next(',') {
+			return nil, false
+		}
+	}
 }
 
 // MutateResponse reports one applied batch and its incremental repair.

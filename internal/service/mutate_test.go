@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -357,4 +358,56 @@ func TestConcurrentColorMutateRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// mutateRequestPlain mirrors MutateRequest with the edge lists as plain
+// [][2]uint32, decoded by encoding/json alone.
+type mutateRequestPlain struct {
+	AddVertices   int         `json:"addVertices"`
+	DelVertices   []uint32    `json:"delVertices"`
+	AddEdges      [][2]uint32 `json:"addEdges"`
+	DelEdges      [][2]uint32 `json:"delEdges"`
+	IncludeColors bool        `json:"includeColors"`
+}
+
+// FuzzMutateRequestDecode is the differential check of EdgePairs'
+// decoder: for any b, the body b and the body that sets addEdges twice,
+// the second time to b (so the decode starts from the slice the first
+// key left), must decode into MutateRequest exactly as into the plain
+// mirror: both succeed with the same fields, or both fail. b is also
+// handed to UnmarshalJSON directly, past encoding/json's syntax check,
+// and must decode as encoding/json decodes it into [][2]uint32.
+func FuzzMutateRequestDecode(f *testing.F) {
+	for _, b := range []string{
+		`null`, `[]`, `[[1,2],null]`, `[[1]]`, `[[1,2,3]]`, `[[-1,2]]`, `[[1.5,2]]`,
+		`[[1e2,3]]`, `[[4294967296,1]]`, `[["1",2]]`, "[ [ 1 ,\t2 ] ,\r\n[0, 4294967295]\n]",
+		`[[01,2]]`, `[[1,2]`, `{"addEdges":[],"delEdges":[[3,4]],"addVertices":2}`,
+	} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var direct EdgePairs
+		var plainPairs [][2]uint32
+		gotErr, wantErr := direct.UnmarshalJSON(b), json.Unmarshal(b, &plainPairs)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual([][2]uint32(direct), plainPairs) {
+			t.Fatalf("%q: UnmarshalJSON gave %v (err %v), encoding/json %v (err %v)", b, direct, gotErr, plainPairs, wantErr)
+		}
+		twice := append(append([]byte(`{"addEdges":[[9,9]],"addEdges":`), b...), '}')
+		for _, body := range [][]byte{b, twice} {
+			var got MutateRequest
+			var want mutateRequestPlain
+			gotErr := json.Unmarshal(body, &got)
+			wantErr := json.Unmarshal(body, &want)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("body %q: EdgePairs err %v, encoding/json err %v", body, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			plain := mutateRequestPlain{got.AddVertices, got.DelVertices, got.AddEdges, got.DelEdges, got.IncludeColors}
+			if !reflect.DeepEqual(plain, want) {
+				t.Fatalf("body %q: EdgePairs decoded %+v, encoding/json %+v", body, plain, want)
+			}
+		}
+	})
 }

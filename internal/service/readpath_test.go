@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -627,5 +628,29 @@ func TestBuildSpecWattsStrogatz(t *testing.T) {
 		if _, err := BuildSpec(bad); err == nil {
 			t.Errorf("BuildSpec(%q) accepted", bad)
 		}
+	}
+}
+
+// TestBuildSpecIsDeterministic pins the promise that a spec string
+// rebuilds the identical graph anywhere, which WAL replay onto a
+// rebuilt spec graph, a replica's spec reset and colorload's client-side
+// checks rely on: every family, built twice, gives the same CSR.
+func TestBuildSpecIsDeterministic(t *testing.T) {
+	for _, spec := range []string{
+		"kron:10", "er:2000:8000:3", "ba:2000:4", "ba:20000:8", "grid:40:50", "ws:2000:6:20:3", "community:2000:8",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			a, err := BuildSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := BuildSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.Offsets(), b.Offsets()) || !slices.Equal(a.Adjacency(), b.Adjacency()) {
+				t.Fatalf("two builds differ: n=%d m=%d and n=%d m=%d", a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
+			}
+		})
 	}
 }
