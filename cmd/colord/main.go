@@ -241,7 +241,6 @@ func main() {
 		probeIvl     = flag.Duration("cluster-probe-interval", cluster.DefaultProbeInterval, "liveness probe period")
 		failAfter    = flag.Int("cluster-fail-after", cluster.DefaultFailAfter, "consecutive probe/transport failures before a peer is marked down")
 		replTimeout  = flag.Duration("cluster-replication-timeout", service.DefaultReplicationTimeout, "per-replica timeout of one synchronous replication call")
-		replWindow   = flag.Int("cluster-pipeline", service.DefaultPipelineWindow, "replication pipeline depth: records outstanding per (graph, replica) before the write path backpressures")
 		proxyTimeout = flag.Duration("cluster-proxy-timeout", service.DefaultProxyTimeout, "end-to-end deadline of one proxied client request, internal retries included")
 		leaseDur     = flag.Duration("cluster-lease", 0, "primary write-lease term; 0 picks 4x the probe interval on clusters of 3+ members, negative disables fencing entirely")
 
@@ -359,7 +358,6 @@ func main() {
 		srv.AttachCluster(c, service.ClusterOptions{
 			ReplicationTimeout: *replTimeout,
 			ProxyTimeout:       *proxyTimeout,
-			PipelineWindow:     *replWindow,
 		})
 		if *dataDir == "" {
 			fmt.Fprintln(os.Stderr, "colord: warning: clustering without -data-dir — this node cannot serve WAL tails to peers catching up")

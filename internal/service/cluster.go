@@ -127,13 +127,6 @@ type clusterState struct {
 	watermarks map[string]map[string]uint64
 	diverged   map[string]map[string]string
 
-	// pipeMu guards pipes: the per-(graph, peer) windowed replication
-	// senders (replpipe.go). pipeWindow is the per-pipe bound on
-	// outstanding records.
-	pipeMu     sync.Mutex
-	pipes      map[string]map[string]*replPipe
-	pipeWindow int
-
 	// leaseMu guards leaseExp: the holder-side lease terms (see
 	// lease.go). Separate from mu — lease renewal RPCs must not nest
 	// inside the watermark lock.
@@ -150,9 +143,6 @@ type ClusterOptions struct {
 	// including internal retries and target re-resolution (<= 0
 	// selects DefaultProxyTimeout).
 	ProxyTimeout time.Duration
-	// PipelineWindow bounds records outstanding per (graph, peer)
-	// replication pipe (<= 0 selects DefaultPipelineWindow).
-	PipelineWindow int
 }
 
 // AttachCluster mounts the cluster view behind the server. Call before
@@ -168,10 +158,6 @@ func (s *Server) AttachCluster(c *cluster.Cluster, opts ClusterOptions) {
 	if proxyTimeout <= 0 {
 		proxyTimeout = DefaultProxyTimeout
 	}
-	window := opts.PipelineWindow
-	if window <= 0 {
-		window = DefaultPipelineWindow
-	}
 	s.cl = &clusterState{
 		c:            c,
 		proxyClient:  &http.Client{Transport: faultinject.Transport(nil)},
@@ -180,8 +166,6 @@ func (s *Server) AttachCluster(c *cluster.Cluster, opts ClusterOptions) {
 		proxyTimeout: proxyTimeout,
 		watermarks:   make(map[string]map[string]uint64),
 		diverged:     make(map[string]map[string]string),
-		pipes:        make(map[string]map[string]*replPipe),
-		pipeWindow:   window,
 		leaseExp:     make(map[string]time.Time),
 	}
 	// Traces and request logs identify this process by its cluster URL
@@ -463,17 +447,18 @@ func decodeWireBatch(b64 string) (dynamic.Batch, error) {
 // lock, before the WAL append and the client ack, so an acknowledged
 // batch is durable on every replica that was alive when it was acked
 // (kill -9 of the primary then loses nothing that was acknowledged).
-// The sends travel through the per-(graph, peer) replication pipes
-// (replpipe.go): every alive replica's POST runs concurrently and
-// replicateBatch blocks until ALL of this batch's outcomes are back,
-// so the R-replica write path costs one replication round trip
-// instead of R sequential ones while keeping the ack contract intact.
-// Down replicas are skipped (they pull the tail on rejoin); failed or
-// diverged replicas are recorded and skipped by the watermark.
-// reqID is the originating request's correlation ID, forwarded on
-// every replication RPC. Returns how many replicas acked this version.
+// The POSTs run concurrently (fanout), so the batch costs one
+// replication round trip whatever the replica count. Each replica
+// sees a graph's batches in version order: the entry lock keeps the
+// next batch from starting until this fan-out has returned. Down
+// replicas are skipped (they pull the tail on rejoin); failed or
+// diverged replicas are recorded and skipped by the watermark. The
+// replicate receive path is idempotent by version, so fanout's retry
+// of a record the replica already applied is acked harmlessly. reqID
+// is the originating request's correlation ID, forwarded on every
+// replication RPC. Returns how many replicas durably acked this
+// version.
 func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, reqID string) int {
-	c := s.cl.c
 	enc := b.AppendBinary(make([]byte, 0, 64))
 	payload, err := json.Marshal(replicateRequest{
 		Graph:    e.Name,
@@ -481,43 +466,29 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 		PrevHash: e.lastBatchHash, // hash of version-1's batch (caller holds e.mu)
 		Fold:     s.foldPoint(e.Name, version),
 		Spec:     e.Spec,
-		From:     c.Self(),
+		From:     s.cl.c.Self(),
 		Batch:    base64.StdEncoding.EncodeToString(enc),
 	})
 	if err != nil {
 		s.clusterReplErrors.Add(1)
 		return 0
 	}
-	// Enqueue-all first, collect second: the pipes' sender goroutines
-	// overlap the POSTs across replicas.
-	type pending struct {
-		peer string
-		send *replSend
-	}
-	var sent []pending
-	for _, peer := range c.Placement(e.Name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		sent = append(sent, pending{peer: peer, send: s.pipeFor(e.Name, peer).enqueue(version, payload, reqID)})
-	}
 	acked := 0
-	for _, pd := range sent {
-		peer := pd.peer
-		out := <-pd.send.done
-		ack, status, err := out.ack, out.status, out.err
+	for _, r := range s.fanout(e.Name, http.MethodPost, "/v1/internal/replicate", payload, reqID) {
+		var ack replicateResponse
 		switch {
-		case err != nil:
+		case r.err != nil:
 			s.clusterReplErrors.Add(1)
-			c.ReportFailure(peer, err)
-		case status == http.StatusConflict:
+		case r.status == http.StatusConflict:
 			// The replica proved its chain diverged from ours while it
 			// believes it is the primary (or holds a graph shape
 			// replication cannot reconcile). Record it: /v1/cluster/status
 			// shows it until one side moves ahead and the other resets.
 			s.clusterReplErrors.Add(1)
-			s.cl.setDiverged(e.Name, peer, fmt.Sprintf("replicating version %d: replica refused (conflict)", version))
-		case status != http.StatusOK:
+			s.cl.setDiverged(e.Name, r.peer, fmt.Sprintf("replicating version %d: replica refused (conflict)", version))
+		case r.status != http.StatusOK:
+			s.clusterReplErrors.Add(1)
+		case json.Unmarshal(r.body, &ack) != nil:
 			s.clusterReplErrors.Add(1)
 		case ack.Version > version:
 			// The replica claims a version we have not produced yet. In a
@@ -527,17 +498,16 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 			// an ack would report "replicated" for a batch the peer never
 			// stored and hide the fork until the versions collide.
 			s.clusterReplErrors.Add(1)
-			s.cl.setDiverged(e.Name, peer, fmt.Sprintf("replica at version %d is ahead of the primary's %d (suspected fork)", ack.Version, version))
+			s.cl.setDiverged(e.Name, r.peer, fmt.Sprintf("replica at version %d is ahead of the primary's %d (suspected fork)", ack.Version, version))
 		case ack.Version < version:
 			s.clusterReplErrors.Add(1)
 		default:
-			c.ReportSuccess(peer)
 			s.clusterReplicated.Add(1)
 			if ack.Applied {
 				// A fresh apply of OUR record at the exact next version
 				// proves the replica's chain is ours again (it resynced):
 				// clear any sticky divergence record.
-				s.cl.clearDiverged(e.Name, peer)
+				s.cl.clearDiverged(e.Name, r.peer)
 			}
 			// Only a DURABLE ack advances the watermark and the response's
 			// replicated count: a memory-only or persistence-degraded
@@ -545,7 +515,7 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 			// while that process lives) but would lose it to its own
 			// restart, and the watermark's contract is recoverability.
 			if ack.Persisted {
-				s.cl.setWatermark(e.Name, peer, ack.Version)
+				s.cl.setWatermark(e.Name, r.peer, ack.Version)
 				acked++
 			}
 		}
@@ -553,56 +523,86 @@ func (s *Server) replicateBatch(e *GraphEntry, version uint64, b dynamic.Batch, 
 	return acked
 }
 
-// postReplicate POSTs one replication record to peer and returns the
-// replica's ack and HTTP status. Transient failures — a transport
-// error or a 5xx from a replica mid-restart or mid-catch-up — get one
-// bounded retry: the receive path is idempotent by version, so
-// re-POSTing a record the replica already applied is acked harmlessly,
-// and a retry that lands after the replica finished its catch-up turns
-// a would-be replication error into a clean ack.
-func (s *Server) postReplicate(peer string, payload []byte, reqID string) (replicateResponse, int, error) {
-	var ack replicateResponse
-	var status int
-	err := internalRetry.Do(context.Background(), func(context.Context) error {
-		ack, status = replicateResponse{}, 0
-		req, rerr := http.NewRequest(http.MethodPost, peer+"/v1/internal/replicate", bytes.NewReader(payload))
-		if rerr != nil {
-			return retry.Permanent(rerr)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if reqID != "" {
-			req.Header.Set(obs.RequestIDHeader, reqID)
-		}
-		rtStart := time.Now()
-		resp, err := s.cl.replClient.Do(req)
-		s.met.replRTT.With(peer).Observe(time.Since(rtStart))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		status = resp.StatusCode
-		if err != nil {
-			return err
-		}
-		if status >= 500 {
-			return fmt.Errorf("replicate to %s: status %d", peer, status)
-		}
-		if status != http.StatusOK {
-			return nil // 4xx: the caller classifies (409 divergence etc.)
-		}
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return retry.Permanent(err)
-		}
-		return nil
-	})
-	if err != nil && status >= 500 {
-		// The 5xx survived the retry. Surface it as a status, not an
-		// error: the caller's error path feeds the liveness verdict, and
-		// a peer that answered — even unhappily — is not dead.
-		return ack, status, nil
+// peerReply is one peer's answer to a fanout request: the HTTP status
+// and up to 1 MiB of the body, or the transport error that outlived
+// the retry.
+type peerReply struct {
+	peer   string
+	status int
+	body   []byte
+	err    error
+}
+
+// outcome renders the reply for a log line.
+func (r peerReply) outcome() string {
+	if r.err != nil {
+		return r.err.Error()
 	}
-	return ack, status, err
+	return "status " + strconv.Itoa(r.status)
+}
+
+// fanout sends one internal request (JSON body, the replicated header,
+// the request ID when non-empty) to every alive placement peer of
+// graph name except this node, one goroutine per peer, and returns once
+// every reply is in. Each request gets internalRetry against transport
+// errors and 5xx replies; the peers run concurrently, so the retry
+// budgets of hung peers overlap instead of adding up. A transport
+// failure feeds the liveness state; any HTTP answer counts as a
+// success, and a 5xx that survives the retry stays a status, not an
+// error: a peer that answered is not dead.
+func (s *Server) fanout(name, method, path string, body []byte, reqID string) []peerReply {
+	c := s.cl.c
+	var replies []peerReply
+	for _, peer := range c.Placement(name) {
+		if peer != c.Self() && c.Alive(peer) {
+			replies = append(replies, peerReply{peer: peer})
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range replies {
+		r := &replies[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.err = internalRetry.Do(context.Background(), func(ctx context.Context) error {
+				r.status, r.body = 0, nil
+				req, err := http.NewRequestWithContext(ctx, method, r.peer+path, bytes.NewReader(body))
+				if err != nil {
+					return retry.Permanent(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set(replicatedHeader, c.Self())
+				if reqID != "" {
+					req.Header.Set(obs.RequestIDHeader, reqID)
+				}
+				start := time.Now()
+				resp, err := s.cl.replClient.Do(req)
+				s.met.replRTT.With(r.peer).Observe(time.Since(start))
+				if err != nil {
+					return err
+				}
+				defer resp.Body.Close()
+				r.status = resp.StatusCode
+				if r.body, err = io.ReadAll(io.LimitReader(resp.Body, 1<<20)); err != nil {
+					return err
+				}
+				if r.status >= 500 {
+					return fmt.Errorf("%s %s%s: status %d", method, r.peer, path, r.status)
+				}
+				return nil
+			})
+			if r.err != nil && r.status >= 500 {
+				r.err = nil
+			}
+			if r.err != nil {
+				c.ReportFailure(r.peer, r.err)
+			} else {
+				c.ReportSuccess(r.peer)
+			}
+		}()
+	}
+	wg.Wait()
+	return replies
 }
 
 func (cs *clusterState) setWatermark(graph, peer string, version uint64) {
@@ -829,58 +829,19 @@ func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
 
 // fanoutRegistration replicates a fresh registration to the graph's
 // alive placement peers by re-POSTing the original upload body with
-// the internal replication header. Best-effort: a down replica
-// bootstraps through syncFrom at the first replication record it
-// receives (from the spec, or from a snapshot for uploads); failures
-// are gauged, never fail the client's registration.
+// the internal replication header. Registration is idempotent on the
+// receiving side, so fanout's retry is safe. Best-effort: a peer that
+// still fails bootstraps through syncFrom at the first replication
+// record it receives (from the spec, or from a snapshot for uploads);
+// failures are gauged, never fail the client's registration.
 func (s *Server) fanoutRegistration(name string, body []byte, reqID string) {
-	c := s.cl.c
-	for _, peer := range c.Placement(name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		// Bounded by the replication timeout like every other internal
-		// call: this runs inside the client's registration request, and a
-		// hung-but-not-yet-demoted replica must cost one replTimeout, not
-		// minutes. Registration is idempotent on the receiving side, so a
-		// transient failure gets one bounded retry before the peer is
-		// left to bootstrap lazily from the spec at first replication (or
-		// snapshot resync for uploads).
-		var status int
-		err := internalRetry.Do(context.Background(), func(context.Context) error {
-			status = 0
-			req, err := http.NewRequest(http.MethodPost, peer+"/v1/graphs", bytes.NewReader(body))
-			if err != nil {
-				return retry.Permanent(err)
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(replicatedHeader, c.Self())
-			if reqID != "" {
-				req.Header.Set(obs.RequestIDHeader, reqID)
-			}
-			resp, err := s.cl.replClient.Do(req)
-			if err != nil {
-				return err
-			}
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			status = resp.StatusCode
-			if status != http.StatusOK {
-				return fmt.Errorf("status %d", status)
-			}
-			return nil
-		})
-		if err != nil {
+	for _, r := range s.fanout(name, http.MethodPost, "/v1/graphs", body, reqID) {
+		if r.err != nil || r.status != http.StatusOK {
 			s.clusterReplErrors.Add(1)
-			if status == 0 {
-				// Never got a response: transport failure feeds liveness.
-				c.ReportFailure(peer, err)
-			}
-			fmt.Fprintf(os.Stderr, "service: replicating registration of %q to %s: %v\n", name, peer, err)
+			fmt.Fprintf(os.Stderr, "service: replicating registration of %q to %s: %s\n", name, r.peer, r.outcome())
 			continue
 		}
-		c.ReportSuccess(peer)
-		s.cl.setWatermark(name, peer, 0)
+		s.cl.setWatermark(name, r.peer, 0)
 	}
 }
 
@@ -903,9 +864,6 @@ type ClusterMetrics struct {
 	// serves (key resident here despite living on another home).
 	KeyHomeServes int64 `json:"keyHomeServes"`
 	KeyLocalHits  int64 `json:"keyLocalHits"`
-	// PipelineWindow is the configured per-(graph, peer) replication
-	// window bound.
-	PipelineWindow int `json:"pipelineWindow"`
 }
 
 // clusterStatusGraph is one graph's placement view in /v1/cluster/status.

@@ -5,9 +5,12 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -502,6 +505,161 @@ func TestClusterReplicationAckTimeout(t *testing.T) {
 	m := srv.SnapshotMetrics()
 	if m.Cluster.ReplicationErrors == 0 {
 		t.Fatal("replication timeout not gauged")
+	}
+}
+
+func TestClusterFanoutOverlapsReplicasInVersionOrder(t *testing.T) {
+	// Two stub replicas each hold a replicate or registration request
+	// until the other stub has received the same request, so only a
+	// concurrent fan-out passes: a sequential one leaves the first stub
+	// waiting out the rendezvous.
+	const rendezvousTimeout = 5 * time.Second
+	var (
+		slot    atomic.Pointer[Server]
+		persist atomic.Bool
+		mu      sync.Mutex
+		arrived = map[string]int{}           // request -> bitmask of the stubs that received it
+		both    = map[string]chan struct{}{} // closed once both stubs received the request
+		gotVers [2][]uint64
+	)
+	rendezvous := func(stub int, key string) {
+		mu.Lock()
+		ch := both[key]
+		if ch == nil {
+			ch = make(chan struct{})
+			both[key] = ch
+		}
+		prev := arrived[key]
+		arrived[key] |= 1 << stub
+		if prev != 3 && arrived[key] == 3 {
+			close(ch)
+		}
+		mu.Unlock()
+		select {
+		case <-ch:
+		case <-time.After(rendezvousTimeout):
+			t.Errorf("stub %d waited %v for the other stub to receive %s: the fan-out is sequential", stub, rendezvousTimeout, key)
+		}
+	}
+	var stubs [2]*httptest.Server
+	for i := range stubs {
+		stubs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/graphs":
+				rendezvous(i, "the registration")
+				fmt.Fprint(w, `{"status":"ok"}`)
+			case "/v1/internal/replicate":
+				var req replicateRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				mu.Lock()
+				gotVers[i] = append(gotVers[i], req.Version)
+				mu.Unlock()
+				rendezvous(i, fmt.Sprintf("version %d", req.Version))
+				json.NewEncoder(w).Encode(replicateResponse{
+					Graph: req.Graph, Version: req.Version,
+					Persisted: persist.Load(), Applied: true,
+				})
+			default:
+				fmt.Fprint(w, `{"status":"ok"}`)
+			}
+		}))
+		defer stubs[i].Close()
+	}
+	real := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		slot.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer real.Close()
+
+	srv := NewServer(ManagerConfig{MaxInflight: 2, CacheEntries: 16, DefaultTimeout: 30 * time.Second})
+	c, err := cluster.New(cluster.Config{Self: real.URL, Peers: []string{real.URL, stubs[0].URL, stubs[1].URL}, Replicas: 3, FailAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AttachCluster(c, ClusterOptions{ReplicationTimeout: 2 * rendezvousTimeout})
+	slot.Store(srv)
+
+	// Find a graph this node is the active primary for.
+	g := ""
+	for i := 0; ; i++ {
+		g = fmt.Sprintf("fanout%d", i)
+		if c.IsActivePrimary(g) {
+			break
+		}
+	}
+	if resp, body := postJSON(t, real.URL+"/v1/graphs", map[string]string{"name": g, "spec": "kron:7"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, body)
+	}
+
+	mutate := func(wantVersion uint64) MutateResponse {
+		t.Helper()
+		resp, body := postJSON(t, real.URL+"/v1/graphs/"+g+"/mutate", MutateRequest{AddEdges: [][2]uint32{{uint32(wantVersion), uint32(wantVersion + 20)}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mutate: %d %s", resp.StatusCode, body)
+		}
+		var mresp MutateResponse
+		if err := json.Unmarshal(body, &mresp); err != nil {
+			t.Fatal(err)
+		}
+		if mresp.Version != wantVersion {
+			t.Fatalf("mutate minted version %d, want %d", mresp.Version, wantVersion)
+		}
+		return mresp
+	}
+	watermarks := func() map[string]uint64 {
+		t.Helper()
+		resp, body := getBody(t, real.URL+"/v1/cluster/status")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status: %d %s", resp.StatusCode, body)
+		}
+		var status struct {
+			Graphs []struct {
+				Name       string            `json:"name"`
+				Watermarks map[string]uint64 `json:"watermarks"`
+			} `json:"graphs"`
+		}
+		if err := json.Unmarshal(body, &status); err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range status.Graphs {
+			if sg.Name == g {
+				return sg.Watermarks
+			}
+		}
+		t.Fatalf("graph %q missing from status", g)
+		return nil
+	}
+	wantMarks := func(v uint64) map[string]uint64 {
+		return map[string]uint64{stubs[0].URL: v, stubs[1].URL: v}
+	}
+
+	// Durable-ack contract: a replica that applies but does NOT persist
+	// must not count toward the replicated watermark.
+	persist.Store(false)
+	if mresp := mutate(1); mresp.Replicated != 0 {
+		t.Fatalf("non-durable ack counted: replicated = %d, want 0", mresp.Replicated)
+	}
+	if w := watermarks(); !maps.Equal(w, wantMarks(0)) {
+		t.Fatalf("watermarks = %v on non-durable acks, want both stubs at the registration's 0", w)
+	}
+	persist.Store(true)
+	for v := uint64(2); v <= 5; v++ {
+		if mresp := mutate(v); mresp.Replicated != 2 {
+			t.Fatalf("durable acks not counted: replicated = %d, want 2", mresp.Replicated)
+		}
+		if w := watermarks(); !maps.Equal(w, wantMarks(v)) {
+			t.Fatalf("watermarks = %v after durable acks of version %d", w, v)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, vers := range gotVers {
+		if !slices.Equal(vers, []uint64{1, 2, 3, 4, 5}) {
+			t.Errorf("stub %d received versions %v, want 1..5 in order", i, vers)
+		}
 	}
 }
 

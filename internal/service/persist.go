@@ -406,12 +406,6 @@ func (s *Server) Close(ctx context.Context) error {
 	if err := s.mgr.Drain(ctx); err != nil {
 		return err
 	}
-	if s.cl != nil {
-		// Stop the replication pipes after the drain: every inflight
-		// mutation has collected its outcomes by now, so closing only
-		// retires idle sender goroutines.
-		s.cl.closePipes()
-	}
 	done := make(chan struct{})
 	go func() {
 		s.bg.Wait()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quality"
 	"repro/internal/recolor"
-	"repro/internal/retry"
 )
 
 // Quality SLO engine: coloring quality as a background service
@@ -184,47 +182,21 @@ type recolorAck struct {
 }
 
 // shipRecolor replicates an adopted improvement to the graph's alive
-// placement peers. Best-effort with the standard bounded internal
-// retry: a failed peer keeps its (proper, just more colorful)
-// coloring and converges on the next improvement or resync.
+// placement peers. Best-effort: a failed peer keeps its (proper, just
+// more colorful) coloring and converges on the next improvement or
+// resync.
 func (s *Server) shipRecolor(name string, version uint64, numColors int, colors []uint32) {
 	payload, err := json.Marshal(recolorShipment{Graph: name, Version: version, NumColors: numColors, Colors: colors})
 	if err != nil {
 		return
 	}
-	c := s.cl.c
-	for _, peer := range c.Placement(name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		err := internalRetry.Do(context.Background(), func(context.Context) error {
-			req, rerr := http.NewRequest(http.MethodPost, peer+"/v1/internal/recolor", bytes.NewReader(payload))
-			if rerr != nil {
-				return retry.Permanent(rerr)
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(replicatedHeader, c.Self())
-			rtStart := time.Now()
-			resp, derr := s.cl.replClient.Do(req)
-			s.met.replRTT.With(peer).Observe(time.Since(rtStart))
-			if derr != nil {
-				return derr
-			}
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			// 4xx: the replica is at another version or already as good —
-			// not retryable, not an error worth failing the peer over.
-			return nil
-		})
-		if err != nil {
+	for _, r := range s.fanout(name, http.MethodPost, "/v1/internal/recolor", payload, "") {
+		// A 4xx means the replica is at another version or already as
+		// good: not an error.
+		if r.err != nil || r.status >= 500 {
 			s.clusterReplErrors.Add(1)
-			fmt.Fprintf(os.Stderr, "service: shipping recolor of %q to %s: %v\n", name, peer, err)
-			continue
+			fmt.Fprintf(os.Stderr, "service: shipping recolor of %q to %s: %s\n", name, r.peer, r.outcome())
 		}
-		c.ReportSuccess(peer)
 	}
 }
 
@@ -377,35 +349,10 @@ func (s *Server) handleGraphQuality(w http.ResponseWriter, r *http.Request, name
 // holder. Objectives are in-memory state: a restarted node converges
 // at the next PATCH (documented in the README).
 func (s *Server) fanoutQuality(name string, body []byte, reqID string) {
-	c := s.cl.c
-	for _, peer := range c.Placement(name) {
-		if peer == c.Self() || !c.Alive(peer) {
-			continue
-		}
-		err := internalRetry.Do(context.Background(), func(context.Context) error {
-			req, rerr := http.NewRequest(http.MethodPatch, peer+"/v1/graphs/"+name+"/quality", bytes.NewReader(body))
-			if rerr != nil {
-				return retry.Permanent(rerr)
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(replicatedHeader, c.Self())
-			if reqID != "" {
-				req.Header.Set(obs.RequestIDHeader, reqID)
-			}
-			resp, derr := s.cl.replClient.Do(req)
-			if derr != nil {
-				return derr
-			}
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			return nil
-		})
-		if err != nil {
+	for _, r := range s.fanout(name, http.MethodPatch, "/v1/graphs/"+name+"/quality", body, reqID) {
+		if r.err != nil || r.status >= 500 {
 			s.clusterReplErrors.Add(1)
-			fmt.Fprintf(os.Stderr, "service: replicating quality target of %q to %s: %v\n", name, peer, err)
+			fmt.Fprintf(os.Stderr, "service: replicating quality target of %q to %s: %s\n", name, r.peer, r.outcome())
 		}
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/store"
 	"repro/internal/verify"
@@ -402,189 +400,6 @@ func TestErrorCodeMapping(t *testing.T) {
 		if got := errorCode(fmt.Errorf("context: %w", err)); got != want {
 			t.Errorf("errorCode(wrapped %v) = %q, want %q", err, got, want)
 		}
-	}
-}
-
-func TestReplPipeWindowFIFOEpochRotationAndDurableWatermark(t *testing.T) {
-	var (
-		slot    atomic.Pointer[Server]
-		persist atomic.Bool
-		stall   atomic.Bool
-		release = make(chan struct{}, 16)
-		mu      = make(chan struct{}, 1)
-		gotVers []uint64
-	)
-	mu <- struct{}{}
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/internal/replicate" {
-			fmt.Fprint(w, `{"status":"ok"}`)
-			return
-		}
-		var req struct {
-			Graph   string `json:"graph"`
-			Version uint64 `json:"version"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		<-mu
-		gotVers = append(gotVers, req.Version)
-		mu <- struct{}{}
-		if stall.Load() {
-			<-release
-		}
-		json.NewEncoder(w).Encode(replicateResponse{
-			Graph: req.Graph, Version: req.Version,
-			Persisted: persist.Load(), Applied: true,
-		})
-	}))
-	defer stub.Close()
-	real := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		slot.Load().Handler().ServeHTTP(w, r)
-	}))
-	defer real.Close()
-
-	srv := NewServer(ManagerConfig{MaxInflight: 2, CacheEntries: 16, DefaultTimeout: 30 * time.Second})
-	c, err := cluster.New(cluster.Config{Self: real.URL, Peers: []string{real.URL, stub.URL}, Replicas: 2, FailAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.AttachCluster(c, ClusterOptions{ReplicationTimeout: 5 * time.Second, PipelineWindow: 2})
-	slot.Store(srv)
-	if m := srv.SnapshotMetrics(); m.Cluster.PipelineWindow != 2 {
-		t.Fatalf("metrics pipelineWindow = %d, want 2", m.Cluster.PipelineWindow)
-	}
-
-	// Find a graph this node is the active primary for.
-	g := ""
-	for i := 0; ; i++ {
-		g = fmt.Sprintf("pipe%d", i)
-		if c.IsActivePrimary(g) {
-			break
-		}
-	}
-	if resp, body := postJSON(t, real.URL+"/v1/graphs", map[string]string{"name": g, "spec": "kron:7"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("register: %d %s", resp.StatusCode, body)
-	}
-
-	// Durable-ack contract: a replica that applies but does NOT persist
-	// must not count toward the replicated watermark.
-	mutate := func(wantVersion uint64) MutateResponse {
-		t.Helper()
-		resp, body := postJSON(t, real.URL+"/v1/graphs/"+g+"/mutate", MutateRequest{AddEdges: [][2]uint32{{uint32(wantVersion), uint32(wantVersion + 20)}}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("mutate: %d %s", resp.StatusCode, body)
-		}
-		var mresp MutateResponse
-		if err := json.Unmarshal(body, &mresp); err != nil {
-			t.Fatal(err)
-		}
-		if mresp.Version != wantVersion {
-			t.Fatalf("mutate minted version %d, want %d", mresp.Version, wantVersion)
-		}
-		return mresp
-	}
-	watermark := func() uint64 {
-		t.Helper()
-		resp, body := getBody(t, real.URL+"/v1/cluster/status")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status: %d %s", resp.StatusCode, body)
-		}
-		var status struct {
-			Graphs []struct {
-				Name       string            `json:"name"`
-				Watermarks map[string]uint64 `json:"watermarks"`
-			} `json:"graphs"`
-		}
-		if err := json.Unmarshal(body, &status); err != nil {
-			t.Fatal(err)
-		}
-		for _, sg := range status.Graphs {
-			if sg.Name == g {
-				return sg.Watermarks[stub.URL]
-			}
-		}
-		t.Fatalf("graph %q missing from status", g)
-		return 0
-	}
-	persist.Store(false)
-	if mresp := mutate(1); mresp.Replicated != 0 {
-		t.Fatalf("non-durable ack counted: replicated = %d, want 0", mresp.Replicated)
-	}
-	if w := watermark(); w != 0 {
-		t.Fatalf("watermark advanced to %d on a non-durable ack, want 0", w)
-	}
-	persist.Store(true)
-	if mresp := mutate(2); mresp.Replicated != 1 {
-		t.Fatalf("durable ack not counted: replicated = %d, want 1", mresp.Replicated)
-	}
-	if w := watermark(); w != 2 {
-		t.Fatalf("watermark = %d after a durable ack of version 2", w)
-	}
-
-	// Window backpressure and FIFO: with window 2 and the peer stalled,
-	// one send is in flight and two are queued — the fourth enqueue must
-	// block until the peer drains.
-	<-mu
-	gotVers = gotVers[:0]
-	mu <- struct{}{}
-	stall.Store(true)
-	p := srv.pipeFor(g, stub.URL)
-	payload := func(v uint64) []byte {
-		b, _ := json.Marshal(map[string]interface{}{"graph": g, "version": v})
-		return b
-	}
-	var accepted atomic.Int64
-	sends := make(chan *replSend, 4)
-	go func() {
-		for v := uint64(101); v <= 104; v++ {
-			sends <- p.enqueue(v, payload(v), "")
-			accepted.Add(1)
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for accepted.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond) // give a buggy 4th enqueue time to slip through
-	if got := accepted.Load(); got != 3 {
-		t.Fatalf("%d enqueues accepted against a stalled window-2 pipe, want 3 (1 in flight + 2 queued)", got)
-	}
-	for i := 0; i < 4; i++ {
-		release <- struct{}{}
-	}
-	for i := 0; i < 4; i++ {
-		out := <-(<-sends).done
-		if out.err != nil || out.status != http.StatusOK {
-			t.Fatalf("pipelined send %d failed: status %d err %v", i, out.status, out.err)
-		}
-	}
-	stall.Store(false)
-	<-mu
-	vers := append([]uint64{}, gotVers...)
-	mu <- struct{}{}
-	if len(vers) != 4 {
-		t.Fatalf("peer saw %d sends, want 4", len(vers))
-	}
-	for i, v := range vers {
-		if v != uint64(101+i) {
-			t.Fatalf("pipe reordered sends: peer saw %v", vers)
-		}
-	}
-
-	// Epoch rotation: a membership change drains the old pipe (its
-	// sender goroutine exits) and pipeFor builds a fresh one.
-	old := srv.pipeFor(g, stub.URL)
-	c.ReportFailure(stub.URL, fmt.Errorf("test: simulated failure")) // FailAfter=1: epoch bumps
-	fresh := srv.pipeFor(g, stub.URL)
-	if fresh == old {
-		t.Fatal("epoch change did not rotate the replication pipe")
-	}
-	select {
-	case <-old.stopped:
-	case <-time.After(2 * time.Second):
-		t.Fatal("old pipe's sender goroutine never exited after the epoch change")
 	}
 }
 

@@ -662,7 +662,6 @@ func (s *Server) SnapshotMetrics() Metrics {
 			Resyncs:           s.clusterResyncs.Load(),
 			KeyHomeServes:     s.clusterKeyHomeServes.Load(),
 			KeyLocalHits:      s.clusterKeyLocalHits.Load(),
-			PipelineWindow:    s.cl.pipeWindow,
 		}
 	}
 	m.Quality = s.qualityMetrics()

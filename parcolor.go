@@ -112,16 +112,22 @@ func ColorContext(ctx context.Context, g *Graph, algorithm string, opt Options) 
 	if err != nil {
 		return nil, err
 	}
-	eps := opt.Epsilon
-	if eps == 0 {
-		eps = 0.01
-	}
 	return harness.RunChecked(a, g, harness.Config{
 		Procs:   opt.Procs,
 		Seed:    opt.Seed,
-		Epsilon: eps,
+		Epsilon: epsilon(opt.Epsilon),
 		Ctx:     ctx,
 	})
+}
+
+// epsilon is the ε a run with Options.Epsilon eps uses: 0 selects the
+// paper's evaluation setting 0.01. ColorContext and QualityBound both
+// call it, so a bound always describes the run it is compared with.
+func epsilon(eps float64) float64 {
+	if eps == 0 {
+		return 0.01
+	}
+	return eps
 }
 
 // NewGraph builds a simple undirected graph over n vertices from an edge
@@ -205,37 +211,14 @@ func ApproxDegeneracyOrder(g *Graph, eps float64, opt Options) *DegeneracyOrderi
 }
 
 // QualityBound returns the provable color-count guarantee of the named
-// algorithm on g (Table III): d+1 for JP-SL, ⌈2(1+ε)d⌉+1 for JP-ADG and
-// DEC-ADG-ITR, 4d+1 for JP-ADG-M, (2+ε)d-style for DEC-ADG and Δ+1 for
-// everything else.
+// algorithm on g (Table III) for a run with Options.Epsilon eps: d+1
+// for JP-SL, ⌈2(1+ε)d⌉+1 for JP-ADG, 4d+1 for JP-ADG-M, the DEC-ADG
+// family's bounds and Δ+1 for everything else.
 func QualityBound(g *Graph, algorithm string, eps float64) (int, error) {
 	if _, err := harness.Lookup(algorithm); err != nil {
 		return 0, err
 	}
-	d := kcore.Degeneracy(g)
-	switch algorithm {
-	case JPSL:
-		return d + 1, nil
-	case JPADG:
-		return ceilMul(2*(1+eps), d) + 1, nil
-	case JPADGM:
-		return 4*d + 1, nil
-	case DECADG:
-		return ceilMul((1+eps/4)*2*(1+eps/12), d) + 1, nil
-	case DECADGITR:
-		return ceilMul(2*(1+eps/12), d) + 1, nil
-	default:
-		return g.MaxDegree() + 1, nil
-	}
-}
-
-func ceilMul(f float64, d int) int {
-	v := f * float64(d)
-	i := int(v)
-	if float64(i) < v {
-		i++
-	}
-	return i
+	return harness.QualityBound(algorithm, g, kcore.Degeneracy(g), epsilon(eps)), nil
 }
 
 // Stats summarizes a graph (n, m, degree extremes).

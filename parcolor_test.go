@@ -41,21 +41,26 @@ func TestQualityBoundsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := 0.1
-	for _, algo := range []string{JPADG, JPADGM, JPSL, DECADGITR} {
-		res, err := Color(g, algo, Options{Procs: 2, Seed: 9, Epsilon: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound, err := QualityBound(g, algo, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NumColors > bound {
-			t.Errorf("%s: %d colors > bound %d", algo, res.NumColors, bound)
+	for _, eps := range []float64{0.1, 0} {
+		for _, algo := range []string{JPADG, JPADGM, JPSL, DECADGITR} {
+			res, err := Color(g, algo, Options{Procs: 2, Seed: 9, Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, err := QualityBound(g, algo, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumColors > bound {
+				t.Errorf("%s at ε=%g: %d colors > bound %d", algo, eps, res.NumColors, bound)
+			}
+			// ε = 0 runs as 0.01, so it must be held to the 0.01 bound.
+			if at001, _ := QualityBound(g, algo, 0.01); eps == 0 && bound != at001 {
+				t.Errorf("%s: bound at ε=0 is %d, want the ε=0.01 bound %d", algo, bound, at001)
+			}
 		}
 	}
-	if _, err := QualityBound(g, "bogus", eps); err == nil {
+	if _, err := QualityBound(g, "bogus", 0.1); err == nil {
 		t.Fatal("bogus algorithm bound accepted")
 	}
 }

@@ -53,8 +53,15 @@ mkdir -p bin
 go build -o bin/colord ./cmd/colord
 go build -o bin/colorload ./cmd/colorload
 
+# start_node N: boot node N. A colord left over on the port would
+# answer wait_healthy in place of this one, so the port must be free
+# first.
 start_node() {
     local i="$1"
+    if curl -sf "${URLS[$i]}/healthz" >/dev/null 2>&1; then
+        echo "chaostest: port ${PORTS[$i]} already serves a colord; stop it first" >&2
+        exit 1
+    fi
     bin/colord -addr "127.0.0.1:${PORTS[$i]}" -max-inflight 4 \
         -data-dir "$WORK/node$i" \
         -cluster-self "${URLS[$i]}" -cluster-peers "$PEERS" \
@@ -64,13 +71,19 @@ start_node() {
     PIDS[$i]=$!
 }
 
+# wait_healthy N: wait until node N answers its health probe while the
+# process start_node started is still alive.
 wait_healthy() {
-    local url="$1"
+    local i="$1"
     for _ in $(seq 100); do
-        if curl -sf "$url/healthz" >/dev/null 2>&1; then return 0; fi
+        if ! kill -0 "${PIDS[$i]}" 2>/dev/null; then
+            echo "chaostest: colord on port ${PORTS[$i]} exited during startup" >&2
+            exit 1
+        fi
+        if curl -sf "${URLS[$i]}/healthz" >/dev/null 2>&1; then return 0; fi
         sleep 0.1
     done
-    echo "chaostest: $url never became healthy" >&2
+    echo "chaostest: ${URLS[$i]} never became healthy" >&2
     exit 1
 }
 
@@ -127,7 +140,7 @@ wait_version() {
 
 echo "chaostest: booting 3 fault-injectable nodes on ports ${PORTS[*]}"
 for i in 0 1 2; do start_node "$i"; done
-for u in "${URLS[@]}"; do wait_healthy "$u"; done
+for i in 0 1 2; do wait_healthy "$i"; done
 
 ########################################################################
 echo "chaostest: phase A — failed WAL fsyncs degrade persistence honestly, compaction self-heals"
@@ -241,7 +254,7 @@ bin/colorload -addr "$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
     -mutation-log "$JOURNAL" -resume -tolerate-request-errors
 wait "${PIDS[$PRIMARY_IDX]}" 2>/dev/null || true
 start_node "$PRIMARY_IDX"
-wait_healthy "$PRIMARY"
+wait_healthy "$PRIMARY_IDX"
 head_ver="$(node_version "$REPLICA" "$GRAPH")"
 # Rejoin catch-up rides the write path: nudge a no-op write through the
 # restarted node (it recovered BEHIND its replicas — the crash hit

@@ -29,19 +29,32 @@ PEERS="$(IFS=,; echo "${URLS[*]}")"
 WORK="$(mktemp -d)"
 JOURNAL="$WORK/mutations.jsonl"
 declare -A PIDS=()
+LOAD_PID=""
+# Every exit path, an early failure or a signal alike, kills and reaps
+# every background child (the nodes and colorload), so none outlives
+# the script.
 cleanup() {
-    for pid in "${PIDS[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
+    for pid in "${PIDS[@]}" $LOAD_PID; do kill -9 "$pid" 2>/dev/null || true; done
+    wait 2>/dev/null || true
     rm -rf "$WORK"
 }
 trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 mkdir -p bin
 go build -o bin/colord ./cmd/colord
 go build -o bin/colorload ./cmd/colorload
 
-# start_node N: boot node N on its port + data dir.
+# start_node N: boot node N on its port + data dir. A colord left over
+# on the port would answer wait_healthy in place of this one, so the
+# port must be free first.
 start_node() {
     local i="$1"
+    if curl -sf "${URLS[$i]}/healthz" >/dev/null 2>&1; then
+        echo "clustertest: port ${PORTS[$i]} already serves a colord; stop it first" >&2
+        exit 1
+    fi
     bin/colord -addr "127.0.0.1:${PORTS[$i]}" -max-inflight 4 \
         -data-dir "$WORK/node$i" \
         -cluster-self "${URLS[$i]}" -cluster-peers "$PEERS" \
@@ -50,13 +63,19 @@ start_node() {
     PIDS[$i]=$!
 }
 
+# wait_healthy N: wait until node N answers its health probe while the
+# process start_node started is still alive.
 wait_healthy() {
-    local url="$1"
+    local i="$1"
     for _ in $(seq 100); do
-        if curl -sf "$url/healthz" >/dev/null 2>&1; then return 0; fi
+        if ! kill -0 "${PIDS[$i]}" 2>/dev/null; then
+            echo "clustertest: colord on port ${PORTS[$i]} exited during startup" >&2
+            exit 1
+        fi
+        if curl -sf "${URLS[$i]}/healthz" >/dev/null 2>&1; then return 0; fi
         sleep 0.1
     done
-    echo "clustertest: $url never became healthy" >&2
+    echo "clustertest: ${URLS[$i]} never became healthy" >&2
     exit 1
 }
 
@@ -66,7 +85,7 @@ node_version() { # node_version URL -> local version of $GRAPH ("" if absent)
 
 echo "clustertest: booting 3 nodes on ports ${PORTS[*]}"
 for i in 0 1 2; do start_node "$i"; done
-for u in "${URLS[@]}"; do wait_healthy "$u"; done
+for i in 0 1 2; do wait_healthy "$i"; done
 
 # Register the graph via node 0 (proxied to the primary if node 0 does
 # not own it), then read the placement from cluster status.
@@ -134,7 +153,10 @@ done
 [ -n "$FAILOVER_MS" ] || { echo "clustertest: writes never failed over" >&2; exit 1; }
 echo "clustertest: failover window (kill -9 -> first acked write via $OUTSIDER): ${FAILOVER_MS} ms"
 
-if ! wait "$LOAD_PID"; then
+load_status=0
+wait "$LOAD_PID" || load_status=$?
+LOAD_PID=""
+if [ "$load_status" != 0 ]; then
     echo "clustertest: pre-kill colorload reported verification failures" >&2
     exit 1
 fi
@@ -150,7 +172,7 @@ bin/colorload -addr "$REPLICA,$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
 
 echo "clustertest: phase 3 — restart the old primary; it must rejoin and catch up"
 start_node "$PRIMARY_IDX"
-wait_healthy "$PRIMARY"
+wait_healthy "$PRIMARY_IDX"
 # Nudge a write through the rejoined node's ownership: the epoch sync
 # pulls the missed tail from a survivor before the write is accepted.
 # Retry while the cluster converges on the rejoined member's liveness.

@@ -19,20 +19,37 @@ REQUESTS="${CRASH_REQUESTS:-4000}"
 DATADIR="$(mktemp -d)"
 JOURNAL="$(mktemp)"
 COLORD_PID=""
+LOAD_PID=""
+# Every exit path, an early failure or a signal alike, kills and reaps
+# both background children, so neither outlives the script.
 cleanup() {
-    [ -n "$COLORD_PID" ] && kill -9 "$COLORD_PID" 2>/dev/null || true
+    for pid in $COLORD_PID $LOAD_PID; do kill -9 "$pid" 2>/dev/null || true; done
+    wait 2>/dev/null || true
     rm -rf "$DATADIR" "$JOURNAL"
 }
 trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 mkdir -p bin
 go build -o bin/colord ./cmd/colord
 go build -o bin/colorload ./cmd/colorload
 
+# start_colord boots colord and waits for its health probe. A colord
+# left over on the port would answer that probe in place of this one,
+# so the port must be free first and the new process must stay alive.
 start_colord() {
+    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
+        echo "crashtest: port ${ADDR##*:} already serves a colord; stop it first" >&2
+        exit 1
+    fi
     bin/colord -addr "$ADDR" -max-inflight 4 -data-dir "$DATADIR" -compact-bytes "${CRASH_COMPACT_BYTES:-65536}" &
     COLORD_PID=$!
     for _ in $(seq 100); do
+        if ! kill -0 "$COLORD_PID" 2>/dev/null; then
+            echo "crashtest: colord on port ${ADDR##*:} exited during startup" >&2
+            exit 1
+        fi
         if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
             return 0
         fi
@@ -71,7 +88,10 @@ COLORD_PID=""
 
 # The load run must finish cleanly: transport errors from the dying
 # server are tolerated, any verification failure is fatal.
-if ! wait "$LOAD_PID"; then
+load_status=0
+wait "$LOAD_PID" || load_status=$?
+LOAD_PID=""
+if [ "$load_status" != 0 ]; then
     echo "crashtest: pre-kill colorload run reported verification failures" >&2
     exit 1
 fi

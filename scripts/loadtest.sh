@@ -27,6 +27,23 @@ mkdir -p bin
 go build -o bin/colord ./cmd/colord
 go build -o bin/colorload ./cmd/colorload
 
+# A colord left over on a port would answer the health probes below in
+# place of the one started here: every port must be free first, and
+# every started process must stay alive until it answers.
+port_free() { # port_free URL PORT
+    if curl -sf "$1/healthz" >/dev/null 2>&1; then
+        echo "loadtest: port $2 already serves a colord; stop it first" >&2
+        exit 1
+    fi
+}
+alive() { # alive PID PORT
+    if ! kill -0 "$1" 2>/dev/null; then
+        echo "loadtest: colord on port $2 exited during startup" >&2
+        exit 1
+    fi
+}
+
+port_free "http://$ADDR" "${ADDR##*:}"
 bin/colord -addr "$ADDR" -max-inflight "$INFLIGHT" \
     -recolor -recolor-interval 100ms &
 COLORD_PID=$!
@@ -35,6 +52,7 @@ trap 'kill "$COLORD_PID" 2>/dev/null || true; wait "$COLORD_PID" 2>/dev/null || 
 # Wait for the daemon to come up (healthz), at most ~5s.
 up=""
 for _ in $(seq 50); do
+    alive "$COLORD_PID" "${ADDR##*:}"
     if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
         up=1
         break
@@ -148,19 +166,21 @@ cleanup() {
 trap cleanup EXIT
 
 for i in 0 1 2; do
+    port_free "${URLS[$i]}" "${PORTS[$i]}"
     bin/colord -addr "127.0.0.1:${PORTS[$i]}" -max-inflight "$INFLIGHT" \
         -data-dir "$WORK/node$i" \
         -cluster-self "${URLS[$i]}" -cluster-peers "$PEERS" \
         -cluster-replicas 2 -cluster-probe-interval 250ms -cluster-fail-after 2 &
     PIDS+=($!)
 done
-for u in "${URLS[@]}"; do
+for i in 0 1 2; do
     up=""
     for _ in $(seq 100); do
-        if curl -sf "$u/healthz" >/dev/null 2>&1; then up=1; break; fi
+        alive "${PIDS[$i]}" "${PORTS[$i]}"
+        if curl -sf "${URLS[$i]}/healthz" >/dev/null 2>&1; then up=1; break; fi
         sleep 0.1
     done
-    [ -n "$up" ] || { echo "loadtest: cluster node $u never became healthy" >&2; exit 1; }
+    [ -n "$up" ] || { echo "loadtest: cluster node ${URLS[$i]} never became healthy" >&2; exit 1; }
 done
 
 echo "loadtest: pass 2 — read-heavy binary protocol across ${URLS[*]}"
