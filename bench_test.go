@@ -293,16 +293,17 @@ func BenchmarkFig5Profile(b *testing.B) {
 }
 
 // BenchmarkAblationADG regenerates §VI-J's design-choice analysis as
-// sub-benchmarks: push vs pull UPDATE, cached degree sums, batch sorting
-// with three integer sorts, and the median threshold.
+// sub-benchmarks: the CRCW UPDATE (push, or pull where that is cheaper)
+// against CREW (pull only), cached degree sums, batch sorting with three
+// integer sorts, and the median threshold.
 func BenchmarkAblationADG(b *testing.B) {
 	g := benchGraph(b)
 	variants := []struct {
 		name string
 		opts order.ADGOptions
 	}{
-		{"push", order.ADGOptions{Epsilon: 0.01, Seed: 1}},
-		{"pull-crew", order.ADGOptions{Epsilon: 0.01, Seed: 1, CREW: true}},
+		{"crcw", order.ADGOptions{Epsilon: 0.01, Seed: 1}},
+		{"crew-pull", order.ADGOptions{Epsilon: 0.01, Seed: 1, CREW: true}},
 		{"cached-sums", order.ADGOptions{Epsilon: 0.01, Seed: 1, CacheDegreeSums: true}},
 		{"sorted-counting", order.ADGOptions{Epsilon: 0.01, Seed: 1, Sorted: true}},
 		{"sorted-radix", order.ADGOptions{Epsilon: 0.01, Seed: 1, Sorted: true, Sort: order.SortRadix}},

@@ -30,6 +30,19 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// FromWords returns a bitmap of capacity n whose bits live in the
+// caller's words, which must hold at least (n+63)/64 of them, with every
+// bit at position n or above clear. The bitmap starts with the bits the
+// words hold and writes through to them. Carving many bitmaps out of one
+// word slice this way costs no allocation per bitmap.
+func FromWords(words []uint64, n int) Set {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	nw := (n + wordBits - 1) / wordBits
+	return Set{words: words[:nw:nw], n: n}
+}
+
 // Len returns the bitmap capacity in bits.
 func (s *Set) Len() int { return s.n }
 

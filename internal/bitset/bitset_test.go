@@ -175,6 +175,44 @@ func TestNewPanicsOnNegative(t *testing.T) {
 	New(-1)
 }
 
+func TestFromWordsCarvesOneArena(t *testing.T) {
+	// Three bitmaps of 1, 64 and 65 bits over one 4-word arena: each
+	// writes only its own words, and a Fill stops at its capacity.
+	arena := make([]uint64, 4)
+	a, b, c := FromWords(arena[0:1], 1), FromWords(arena[1:2], 64), FromWords(arena[2:4], 65)
+	a.Set(0)
+	b.Set(63)
+	c.Fill()
+	if arena[0] != 1 || arena[1] != 1<<63 || arena[2] != ^uint64(0) || arena[3] != 1 {
+		t.Fatalf("arena = %#x", arena)
+	}
+	if a.Len() != 1 || a.Count() != 1 || b.Count() != 1 || c.Count() != 65 {
+		t.Fatalf("counts %d %d %d", a.Count(), b.Count(), c.Count())
+	}
+	if b.NextClear(0) != 0 || b.NextClear(63) != -1 || c.NextClear(0) != -1 {
+		t.Fatal("NextClear reads past a carved bitmap")
+	}
+	// The bitmap starts from the words' bits, and a longer slice is cut
+	// to the bitmap's own words.
+	d := FromWords(arena, 1)
+	if !d.Test(0) || d.Count() != 1 || d.NextClear(0) != -1 {
+		t.Fatalf("Count=%d over a 1-bit view of the arena", d.Count())
+	}
+	e := FromWords(make([]uint64, 2), 0)
+	if e.Count() != 0 || e.NextClear(0) != -1 {
+		t.Fatal("zero-capacity view misbehaves")
+	}
+}
+
+func TestFromWordsPanicsOnShortWords(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	FromWords(make([]uint64, 1), 65)
+}
+
 func TestZeroCapacity(t *testing.T) {
 	s := New(0)
 	if s.Count() != 0 || s.Any() || s.NextClear(0) != -1 {

@@ -418,8 +418,9 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	ord := order.ADG(sub, order.ADGOptions{
 		Epsilon: opts.Epsilon, Procs: p, Seed: opts.Seed + salt, Sorted: true,
 	})
-	keys := ord.Keys
-	counts := order.PredCounts(sub, keys, p)
+	// ADG-O fuses the JP in-degrees into its update (§V-C), and ord is
+	// ours alone, so its counts are released in place.
+	counts := ord.PredCount
 	frontier := par.Pack(p, nd, func(i int) bool { return counts[i] == 0 })
 
 	newCol := make([]uint32, nd)
@@ -445,12 +446,17 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 				for _, cu := range fixed[fixOff[i]:fixOff[i+1]] {
 					st.stamp[cu] = st.epoch
 				}
-				ns := sub.Neighbors(i)
+				// One scan, as in jp.ColorContext: a colored dirty
+				// neighbor is a predecessor, an uncolored one a
+				// successor to release.
 				d := deg[i]
-				for _, j := range ns {
-					// 0 until that dirty neighbor is colored.
-					if cu := newCol[j]; cu != 0 && int(cu) <= d+1 {
-						st.stamp[cu] = st.epoch
+				for _, j := range sub.Neighbors(i) {
+					if cu := newCol[j]; cu != 0 {
+						if int(cu) <= d+1 {
+							st.stamp[cu] = st.epoch
+						}
+					} else if par.Join(&counts[j]) {
+						st.next = append(st.next, j)
 					}
 				}
 				nc := uint32(1)
@@ -458,12 +464,6 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 					nc++
 				}
 				newCol[i] = nc
-				ki := keys[i]
-				for _, j := range ns {
-					if keys[j] < ki && par.Join(&counts[j]) {
-						st.next = append(st.next, j)
-					}
-				}
 			}
 		})
 		// Deterministic frontier compaction in worker order (the same

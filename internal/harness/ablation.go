@@ -11,8 +11,9 @@ import (
 )
 
 // Ablation regenerates §VI-J ("Additional Analyses of Design Choices"):
-// the impact of the §V implementation choices on JP-ADG — push vs pull
-// UPDATE (§III-B/§V-E), batch sorting on/off and the sorting algorithm
+// the impact of the §V implementation choices on JP-ADG — the CRCW
+// UPDATE, which pushes or pulls per iteration, against the pull-only
+// CREW one (§III-B/§V-E), batch sorting on/off and the sorting algorithm
 // (§V-A/B), average vs median threshold (§V-D), fused DAG construction
 // (§V-C) and degree-sum caching (§V-F). The paper reports each choice
 // moves performance by up to ~10% without changing the patterns; the
@@ -29,8 +30,8 @@ func Ablation(o Options) (string, error) {
 	}
 	base := order.ADGOptions{Epsilon: o.Epsilon, Procs: o.Procs, Seed: o.Seed}
 	variants := []variant{
-		{"push (CRCW, Alg.1)", base},
-		{"pull (CREW, Alg.2)", func() order.ADGOptions { v := base; v.CREW = true; return v }()},
+		{"CRCW (push, pull if cheaper)", base},
+		{"CREW (pull only, Alg.2)", func() order.ADGOptions { v := base; v.CREW = true; return v }()},
 		{"cached-sums (SV-F)", func() order.ADGOptions { v := base; v.CacheDegreeSums = true; return v }()},
 		{"sorted counting (ADG-O)", func() order.ADGOptions { v := base; v.Sorted = true; return v }()},
 		{"sorted radix (SV-B)", func() order.ADGOptions {

@@ -113,16 +113,25 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 			st := states[w]
 			for i := lo; i < hi; i++ {
 				v := fr[i]
-				kv := keys[v]
-				// GetColor: smallest color not used by predecessors.
+				// One scan does GetColor and JPColor. When v is colored,
+				// its colored neighbors are exactly its predecessors:
+				// every predecessor was colored in an earlier round, and
+				// no successor can be colored before v releases it. So a
+				// nonzero color is stamped as forbidden and a zero one
+				// marks a successor to release.
 				st.epoch++
 				ns := g.Neighbors(v)
 				st.edges += int64(len(ns))
 				degV := len(ns)
 				for _, u := range ns {
-					if keys[u] > kv {
-						if c := colors[u]; int(c) <= degV+1 {
+					if c := colors[u]; c != 0 {
+						if int(c) <= degV+1 {
 							st.stamp[c] = st.epoch
+						}
+					} else {
+						st.atoms++
+						if par.Join(&counts[u]) {
+							st.next = append(st.next, u)
 						}
 					}
 				}
@@ -131,15 +140,6 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 					c++
 				}
 				colors[v] = c
-				// JPColor: release successors whose last predecessor this is.
-				for _, u := range ns {
-					if keys[u] < kv {
-						st.atoms++
-						if par.Join(&counts[u]) {
-							st.next = append(st.next, u)
-						}
-					}
-				}
 			}
 		})
 		// Collect the next frontier: per-worker buffers are compacted with

@@ -24,9 +24,12 @@ type ADGOptions struct {
 	// distribution each round instead of the (1+ε)·average threshold.
 	// The ordering becomes partial 4-approximate (Lemma 15).
 	Median bool
-	// CREW selects the concurrent-read-only UPDATE of Algorithm 2:
-	// degrees are recomputed pull-style with no atomics, trading
-	// O(m + nd) work for freedom from concurrent writes (§III-B).
+	// CREW forces the concurrent-read-only UPDATE of Algorithm 2 in
+	// every iteration: survivors recount their removed neighbors
+	// pull-style and nothing is written concurrently (§III-B). Without
+	// it, each iteration takes the cheaper direction (see pullCheaper):
+	// that pull, or Algorithm 1's push of one DecrementAndFetch per arc
+	// from the batch into a survivor. The output is the same either way.
 	CREW bool
 	// Sorted selects ADG-O (Algorithm 6, §V-A/B/C): batches are kept in
 	// one contiguous [R(1) … R(i) | U] array, each batch is counting-
@@ -115,6 +118,7 @@ func adgPlain(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering, 
 	}
 	var partitions [][]uint32
 	iter := uint32(0)
+	up := newUpdater(g, p, opts.CREW)
 	// §V-F: optionally maintain the active degree sum incrementally.
 	var cachedSum int64
 	if opts.CacheDegreeSums && !opts.Median {
@@ -144,47 +148,9 @@ func adgPlain(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering, 
 		})
 		next := make([]uint32, len(keepIdx))
 		par.For(p, len(keepIdx), func(i int) { next[i] = active[keepIdx[i]] })
-		// UPDATE: subtract removed neighbors from surviving degrees. When
-		// caching degree sums (§V-F), also count the cut edges removed
-		// from the survivors' side.
-		var cut int64
-		if opts.CREW {
-			// Algorithm 2: pull-style recount, concurrent reads only.
-			// Edge-balanced blocks: the recount scans each survivor's list.
-			par.ForWeightedBy(p, len(next), func(i int) int64 {
-				return int64(g.Degree(next[i]))
-			}, func(i int) {
-				u := next[i]
-				var c int32
-				for _, w := range g.Neighbors(u) {
-					if rank[w] == iter {
-						c++
-					}
-				}
-				deg[u] -= c
-				if opts.CacheDegreeSums {
-					par.FetchAdd64(&cut, int64(c))
-				}
-			})
-		} else {
-			// Algorithm 1: push-style DecrementAndFetch (CRCW),
-			// edge-balanced over the removed batch's degrees.
-			par.ForWeightedBy(p, len(batch), func(i int) int64 {
-				return int64(g.Degree(batch[i]))
-			}, func(i int) {
-				v := batch[i]
-				var c int64
-				for _, w := range g.Neighbors(v) {
-					if rank[w] == unsetRank {
-						par.DecrementAndFetch(&deg[w])
-						c++
-					}
-				}
-				if opts.CacheDegreeSums {
-					par.FetchAdd64(&cut, c)
-				}
-			})
-		}
+		// UPDATE. When caching degree sums (§V-F), the cut edges
+		// removed from the survivors' side are subtracted too.
+		cut := up.update(rank, iter, iter+1, batch, next, deg, nil)
 		if opts.CacheDegreeSums && !opts.Median {
 			cachedSum -= cut
 		}
@@ -268,6 +234,7 @@ func adgSorted(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering,
 		arr[i] = uint32(i)
 	}
 	predCount := make([]int32, n)
+	up := newUpdater(g, p, opts.CREW)
 	removed := 0
 	iter := 0
 	for removed < n {
@@ -300,26 +267,9 @@ func adgSorted(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering,
 		par.For(p, len(batch), func(i int) {
 			pos[batch[i]] = base + uint32(i)
 		})
-		// UPDATEandPRIORITIZE (§V-C): one pass both maintains residual
-		// degrees and derives the JP DAG in-degree. Edge-balanced blocks:
-		// the pass scans each batch vertex's full adjacency list.
-		par.ForWeightedBy(p, len(batch), func(i int) int64 {
-			return int64(g.Degree(batch[i]))
-		}, func(i int) {
-			v := batch[i]
-			pv := pos[v]
-			var c int32
-			for _, w := range g.Neighbors(v) {
-				pw := pos[w] // unsetRank (= +inf) for still-active vertices
-				if pw > pv {
-					c++
-					if pw == unsetRank {
-						par.DecrementAndFetch(&deg[w])
-					}
-				}
-			}
-			predCount[v] = c
-		})
+		// UPDATEandPRIORITIZE (§V-C): the update also derives each batch
+		// vertex's JP DAG in-degree.
+		up.update(pos, base, base+uint32(len(batch)), batch, arr[removed+len(batch):], deg, predCount)
 		removed += len(batch)
 		iter++
 	}
@@ -341,6 +291,161 @@ func adgSorted(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering,
 		Iterations: iter,
 		PredCount:  predCount,
 	}, nil
+}
+
+// pullPerPush is the UPDATE direction constant. A pushed arc pays a
+// LOCK-prefixed decrement on a survivor's degree, a pulled arc a plain
+// load and compare. On a 2-vCPU x86 VM at p=2, a pull-only UPDATE made
+// ADG at ε 0.01/12 on grid:300:300 1.5× slower and a push-only one
+// made ADG-O on kron:15 1.5× slower, while constants from 8 to 32 timed
+// alike within the noise on kron:15, kron:17 and grid:300:300.
+const pullPerPush = 8
+
+// pullCheaper is the UPDATE direction rule: pull (Algorithm 2) when
+// the survivors' volume is at most pullPerPush times the batch's, push
+// (Algorithm 1) otherwise. A pull iteration thus reads at most
+// pullPerPush times the arcs a push would, which keeps ADG's O(m) work
+// bound.
+func pullCheaper(volSurvivors, volBatch int64) bool {
+	return volSurvivors <= pullPerPush*volBatch
+}
+
+// updater runs the UPDATE step of ADG and ADG-O, one call per
+// iteration. Unless crew forces pull, it tracks vol(active), the arcs
+// in the active vertices' lists, so choosing a direction costs
+// O(min(|batch|, |survivors|)).
+type updater struct {
+	g    *graph.Graph
+	p    int
+	crew bool  // always pull: nothing is written concurrently
+	vol  int64 // vol(active)
+}
+
+func newUpdater(g *graph.Graph, p int, crew bool) *updater {
+	return &updater{g: g, p: p, crew: crew, vol: g.NumArcs()}
+}
+
+// update subtracts from each survivor's residual degree its neighbors
+// in the batch just removed, and returns the cut, the number of
+// batch–survivor edges (§V-F).
+//
+// r holds the removal key of every vertex: unsetRank while active, a
+// value in [lo, hi) for the batch, and a smaller one for vertices
+// removed before. If pred is non-nil (ADG-O), pred[v] is set to the
+// number of v's neighbors with a larger key than v's, its JP DAG
+// in-degree (§V-C). The direction is pullCheaper's choice, or pull
+// when crew is set; both compute the same degrees.
+func (up *updater) update(r []uint32, lo, hi uint32, batch, survivors []uint32, deg, pred []int32) int64 {
+	if !up.crew {
+		// vol(active) = vol(batch) + vol(survivors), so summing the
+		// shorter list gives both.
+		var volBatch, volSurvivors int64
+		if len(batch) <= len(survivors) {
+			volBatch = up.volume(batch)
+			volSurvivors = up.vol - volBatch
+		} else {
+			volSurvivors = up.volume(survivors)
+			volBatch = up.vol - volSurvivors
+		}
+		up.vol = volSurvivors
+		if !pullCheaper(volSurvivors, volBatch) {
+			return up.push(r, batch, deg, pred)
+		}
+	}
+	return up.pull(r, lo, hi, batch, survivors, deg, pred)
+}
+
+// volume is vol(vs), the total degree of vs.
+func (up *updater) volume(vs []uint32) int64 {
+	g := up.g
+	return par.ReduceInt64(up.p, len(vs), func(i int) int64 { return int64(g.Degree(vs[i])) })
+}
+
+// push is Algorithm 1's UPDATE: each batch vertex decrements its active
+// neighbors' degrees, and counts its neighbors with larger keys.
+func (up *updater) push(r, batch []uint32, deg, pred []int32) int64 {
+	g := up.g
+	var cut int64
+	forEachBlock(g, up.p, batch, func(a, b int) {
+		var blockCut int64
+		for _, v := range batch[a:b] {
+			rv := r[v]
+			var above, active int32
+			for _, w := range g.Neighbors(v) {
+				rw := r[w]
+				if rw > rv {
+					above++
+				}
+				if rw == unsetRank {
+					par.DecrementAndFetch(&deg[w])
+					active++
+				}
+			}
+			if pred != nil {
+				pred[v] = above
+			}
+			blockCut += int64(active)
+		}
+		par.FetchAdd64(&cut, blockCut)
+	})
+	return cut
+}
+
+// pull is Algorithm 2's UPDATE: each survivor recounts its batch
+// neighbors and writes only its own degree. For ADG-O, each batch
+// vertex then counts its neighbors with larger keys.
+func (up *updater) pull(r []uint32, lo, hi uint32, batch, survivors []uint32, deg, pred []int32) int64 {
+	g := up.g
+	width := hi - lo
+	var cut int64
+	forEachBlock(g, up.p, survivors, func(a, b int) {
+		var blockCut int64
+		for _, u := range survivors[a:b] {
+			var c int32
+			if width == 1 {
+				// Plain ADG's batch shares one key. On kron:13 at p=2
+				// the equality test timed 15% faster than the range
+				// test below.
+				for _, w := range g.Neighbors(u) {
+					if r[w] == lo {
+						c++
+					}
+				}
+			} else {
+				for _, w := range g.Neighbors(u) {
+					if r[w]-lo < width {
+						c++
+					}
+				}
+			}
+			deg[u] -= c
+			blockCut += int64(c)
+		}
+		par.FetchAdd64(&cut, blockCut)
+	})
+	if pred != nil {
+		forEachBlock(g, up.p, batch, func(a, b int) {
+			for _, v := range batch[a:b] {
+				rv := r[v]
+				var above int32
+				for _, w := range g.Neighbors(v) {
+					if r[w] > rv {
+						above++
+					}
+				}
+				pred[v] = above
+			}
+		})
+	}
+	return cut
+}
+
+// forEachBlock runs body over edge-balanced blocks of vs: every pass of
+// update scans the whole adjacency list of each vertex it visits.
+func forEachBlock(g *graph.Graph, p int, vs []uint32, body func(lo, hi int)) {
+	par.ForWorkersWeightedBy(p, len(vs), nil, func(i int) int64 {
+		return int64(g.Degree(vs[i]))
+	}, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // partitionInPlace stably reorders a so that elements satisfying keep come

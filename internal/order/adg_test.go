@@ -1,7 +1,8 @@
 package order
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,16 +148,91 @@ func TestADGPartitionsCoverAndOrder(t *testing.T) {
 }
 
 func TestADGPushPullEquivalent(t *testing.T) {
-	// CRCW (push) and CREW (pull) UPDATE must compute identical orderings:
-	// same ranks in every iteration (Algorithm 1 vs Algorithm 2).
-	for gname, g := range testGraphs(t) {
-		a := ADG(g, ADGOptions{Epsilon: 0.1, Procs: 2, Seed: 9})
-		b := ADG(g, ADGOptions{Epsilon: 0.1, Procs: 2, Seed: 9, CREW: true})
-		for v := range a.Rank {
-			if a.Rank[v] != b.Rank[v] {
-				t.Errorf("%s: rank[%d] push=%d pull=%d", gname, v, a.Rank[v], b.Rank[v])
-				break
+	// CRCW (each iteration pushes or pulls, whichever pullCheaper picks)
+	// and CREW (always pull, Algorithm 2) must compute identical
+	// orderings, for plain ADG, ADG-O and ADG-M-O alike.
+	graphs := pushGraphs(t)
+	for _, name := range []string{"path", "grid40"} {
+		g := graphs[name]
+		dirs := updateDirections(g, ADG(g, ADGOptions{Epsilon: 0.01 / 12, Procs: 2, Seed: 9}))
+		if !strings.Contains(dirs, "push") || !strings.Contains(dirs, "pull") {
+			t.Errorf("%s at ε 0.01/12: directions %q, want both", name, dirs)
+		}
+	}
+	variants := map[string]ADGOptions{
+		"ADG-eps0.1":       {Epsilon: 0.1},
+		"ADG-eps0.01/12":   {Epsilon: 0.01 / 12},
+		"ADG-O-eps0.1":     {Epsilon: 0.1, Sorted: true},
+		"ADG-O-eps0.01/12": {Epsilon: 0.01 / 12, Sorted: true},
+		"ADG-M-O":          {Median: true, Sorted: true},
+	}
+	for gname, g := range graphs {
+		for vname, opts := range variants {
+			opts.Procs, opts.Seed = 2, 9
+			a := ADG(g, opts)
+			opts.CREW = true
+			b := ADG(g, opts)
+			where := gname + "/" + vname
+			if !slices.Equal(a.Rank, b.Rank) || !slices.Equal(a.Keys, b.Keys) ||
+				!slices.Equal(a.PredCount, b.PredCount) || a.Iterations != b.Iterations {
+				t.Errorf("%s: CRCW and CREW orderings differ", where)
 			}
+			if !slices.EqualFunc(a.Partitions, b.Partitions, slices.Equal) {
+				t.Errorf("%s: CRCW and CREW partitions differ", where)
+			}
+		}
+	}
+}
+
+// pushGraphs is testGraphs plus a 40×40 grid. At ε 0.01/12 the path and
+// the grid peel a thin layer per iteration, so there the UPDATE rule
+// pushes in most iterations.
+func pushGraphs(t testing.TB) map[string]*graph.Graph {
+	graphs := testGraphs(t)
+	grid, err := gen.Grid2D(40, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["grid40"] = grid
+	return graphs
+}
+
+// updateDirections replays pullCheaper over the batches of a plain ADG
+// run and names the UPDATE direction of each iteration.
+func updateDirections(g *graph.Graph, o *Ordering) string {
+	vol := g.NumArcs()
+	var dirs []string
+	for _, part := range o.Partitions {
+		var volBatch int64
+		for _, v := range part {
+			volBatch += int64(g.Degree(v))
+		}
+		vol -= volBatch
+		if pullCheaper(vol, volBatch) {
+			dirs = append(dirs, "pull")
+		} else {
+			dirs = append(dirs, "push")
+		}
+	}
+	return strings.Join(dirs, " ")
+}
+
+func TestPullCheaper(t *testing.T) {
+	for _, c := range []struct {
+		survivors, batch int64
+		pull             bool
+	}{
+		{799, 100, true},
+		{800, 100, true}, // the boundary: pull reads exactly 8× the arcs
+		{801, 100, false},
+		{1 << 40, 1 << 37, true},
+		{1<<40 + 1, 1 << 37, false},
+		{1, 0, false}, // a batch of isolated vertices has nothing to push
+		{0, 0, true},  // nothing to read either way
+		{0, 3, true},  // the last batch: no survivors to pull into
+	} {
+		if got := pullCheaper(c.survivors, c.batch); got != c.pull {
+			t.Errorf("pullCheaper(%d, %d) = %v, want %v", c.survivors, c.batch, got, c.pull)
 		}
 	}
 }
@@ -276,43 +352,58 @@ func TestApproxFactorBound(t *testing.T) {
 	}
 }
 
+// BenchmarkADG times the ADG variants on kron:13, plus one input on
+// each side of the UPDATE direction rule: DEC's plain ADG at ε 0.01/12
+// on grid:300:300, which pushes in most iterations, and JP-ADG's ADG-O
+// at ε 0.01 on kron:15, which pulls in most.
 func BenchmarkADG(b *testing.B) {
-	g, err := gen.Kronecker(13, 16, 1, 0)
-	if err != nil {
-		b.Fatal(err)
+	kron := func(scale int) func() (*graph.Graph, error) {
+		return func() (*graph.Graph, error) { return gen.Kronecker(scale, 16, 1, 0) }
 	}
+	grid := func() (*graph.Graph, error) { return gen.Grid2D(300, 300, 0) }
 	for _, cfg := range []struct {
-		name string
-		opts ADGOptions
+		name  string
+		graph func() (*graph.Graph, error)
+		opts  ADGOptions
 	}{
-		{"plain", ADGOptions{Epsilon: 0.01}},
-		{"crew", ADGOptions{Epsilon: 0.01, CREW: true}},
-		{"median", ADGOptions{Median: true}},
-		{"sorted", ADGOptions{Epsilon: 0.01, Sorted: true}},
+		{"plain", kron(13), ADGOptions{Epsilon: 0.01}},
+		{"crew", kron(13), ADGOptions{Epsilon: 0.01, CREW: true}},
+		{"median", kron(13), ADGOptions{Median: true}},
+		{"sorted", kron(13), ADGOptions{Epsilon: 0.01, Sorted: true}},
+		{"push-grid300-eps/12", grid, ADGOptions{Epsilon: 0.01 / 12}},
+		{"pull-kron15-sorted", kron(15), ADGOptions{Epsilon: 0.01, Sorted: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			g, err := cfg.graph()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ADG(g, cfg.opts)
 			}
 		})
 	}
-	_ = fmt.Sprint()
 }
 
 func TestADGCachedSumsEquivalent(t *testing.T) {
 	// §V-F: incremental degree-sum maintenance must not change the
-	// removal schedule — identical ranks, both UPDATE styles.
-	for gname, g := range testGraphs(t) {
-		for _, crew := range []bool{false, true} {
-			base := ADG(g, ADGOptions{Epsilon: 0.1, Procs: 2, Seed: 9, CREW: crew})
-			cached := ADG(g, ADGOptions{Epsilon: 0.1, Procs: 2, Seed: 9, CREW: crew, CacheDegreeSums: true})
-			if base.Iterations != cached.Iterations {
-				t.Errorf("%s crew=%v: iterations differ %d vs %d", gname, crew, base.Iterations, cached.Iterations)
-			}
-			for v := range base.Rank {
-				if base.Rank[v] != cached.Rank[v] {
-					t.Errorf("%s crew=%v: rank[%d] differs with cached sums", gname, crew, v)
-					break
+	// removal schedule — identical ranks, both UPDATE styles. At
+	// ε 0.01/12 the CRCW runs on the path and the grid push, so the cut
+	// is counted on both sides.
+	for gname, g := range pushGraphs(t) {
+		for _, eps := range []float64{0.1, 0.01 / 12} {
+			for _, crew := range []bool{false, true} {
+				base := ADG(g, ADGOptions{Epsilon: eps, Procs: 2, Seed: 9, CREW: crew})
+				cached := ADG(g, ADGOptions{Epsilon: eps, Procs: 2, Seed: 9, CREW: crew, CacheDegreeSums: true})
+				if base.Iterations != cached.Iterations {
+					t.Errorf("%s eps=%v crew=%v: iterations differ %d vs %d", gname, eps, crew, base.Iterations, cached.Iterations)
+				}
+				for v := range base.Rank {
+					if base.Rank[v] != cached.Rank[v] {
+						t.Errorf("%s eps=%v crew=%v: rank[%d] differs with cached sums", gname, eps, crew, v)
+						break
+					}
 				}
 			}
 		}

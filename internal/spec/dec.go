@@ -99,20 +99,9 @@ func decColorWithOrdering(ctx context.Context, g *graph.Graph, ord *order.Orderi
 			return nil, err
 		}
 		part := ord.Partitions[l]
-		rl := uint32(l)
 		// Lines 16-18: pull colors of already-colored higher partitions
-		// into Bv. Only colors within v's own range matter. Blocks are
-		// edge-balanced: the pull scans each vertex's adjacency list.
-		par.ForWeightedBy(p, len(part), func(i int) int64 {
-			return int64(g.Degree(part[i]))
-		}, func(i int) {
-			v := part[i]
-			for _, u := range g.Neighbors(v) {
-				if ord.Rank[u] > rl {
-					st.markForbidden(v, st.colors[u])
-				}
-			}
-		})
+		// into Bv, and gather the partition's own edges for SIM-COL.
+		st.loadPartition(part, uint32(l))
 		res.EdgesScanned += sumDegrees(g, part)
 		rounds, conflicts, edges := st.simCol(part, itrRule, prio)
 		res.Rounds += rounds
@@ -150,10 +139,11 @@ func SIMCOL(g *graph.Graph, mu float64, opts Options) *Result {
 	for i := range part {
 		part[i] = uint32(i)
 	}
+	st.loadPartition(part, 0)
 	rounds, conflicts, edges := st.simCol(part, false, nil)
 	res.Rounds = rounds
 	res.Conflicts = conflicts
-	res.EdgesScanned = edges
+	res.EdgesScanned = g.NumArcs() + edges
 	copy(res.Colors, st.colors)
 	res.finish()
 	return res

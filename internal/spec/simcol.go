@@ -10,48 +10,80 @@ import (
 // SIM-COL invocations of DEC-ADG (Algorithm 4's bitmaps and ranks).
 type simColState struct {
 	g      *graph.Graph
-	rank   []uint32      // ADG partition index of each vertex
-	degL   []int32       // deg_ℓ(v): neighbors in equal-or-higher partitions
-	span   []uint32      // color range ⌈(1+µ)·deg_ℓ(v)⌉ (≥ deg_ℓ+1)
-	forbid []*bitset.Set // Bv: forbidden colors (1-based bit index)
+	rank   []uint32     // ADG partition index of each vertex
+	same   []int32      // neighbors in v's own partition
+	span   []uint32     // color range ⌈(1+µ)·deg_ℓ(v)⌉ (≥ deg_ℓ+1)
+	forbid []bitset.Set // Bv: forbidden colors (1-based bit index)
 	colors []uint32
 	seed   uint64
 	p      int
+
+	// Scratch for the partition being colored, reused across partitions.
+	// The vertex at position i of the partition keeps its still-active
+	// neighbors in the partition, N_U(v), in adj[off[i]:end[i]];
+	// lost[i] reports that it lost the current round.
+	adj  []uint32
+	off  []int64
+	end  []int64
+	lost []bool
 }
 
-// newSimColState precomputes deg_ℓ, spans and bitmaps for all vertices.
-// Bv holds span(v)+1 bits: colors above v's own range can never be chosen
-// by v, so they need not be tracked (the storage argument of §IV-B).
+// newSimColState precomputes spans, same-partition degrees and bitmaps
+// for all vertices. Bv holds span(v)+1 bits: colors above v's own range
+// can never be chosen by v, so they need not be tracked (the storage
+// argument of §IV-B). All bitmaps share one word arena.
 func newSimColState(g *graph.Graph, rank []uint32, mu float64, seed uint64, p int) *simColState {
 	n := g.NumVertices()
 	st := &simColState{
 		g:      g,
 		rank:   rank,
-		degL:   make([]int32, n),
+		same:   make([]int32, n),
 		span:   make([]uint32, n),
-		forbid: make([]*bitset.Set, n),
+		forbid: make([]bitset.Set, n),
 		colors: make([]uint32, n),
 		seed:   seed,
 		p:      p,
+		off:    make([]int64, n+1),
+		end:    make([]int64, n),
+		lost:   make([]bool, n),
 	}
 	par.ForBlocksWeighted(p, g.Offsets(), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			st.initVertex(g, rank, mu, v)
 		}
 	})
+	words := 0
+	for _, s := range st.span {
+		words += bitmapWords(s)
+	}
+	arena := make([]uint64, words)
+	for v, s := range st.span {
+		w := bitmapWords(s)
+		st.forbid[v] = bitset.FromWords(arena[:w], int(s)+1)
+		arena = arena[w:]
+	}
 	return st
 }
 
-// initVertex computes deg_ℓ, the span and the bitmap of one vertex.
+// bitmapWords is the word count of a bitmap over colors 0..span.
+func bitmapWords(span uint32) int {
+	return (int(span) + 64) / 64
+}
+
+// initVertex computes the span, from deg_ℓ, and the same-partition
+// degree of one vertex.
 func (st *simColState) initVertex(g *graph.Graph, rank []uint32, mu float64, v int) {
-	var c int32
+	var c, same int32
 	rv := rank[v]
 	for _, u := range g.Neighbors(uint32(v)) {
 		if rank[u] >= rv {
 			c++
 		}
+		if rank[u] == rv {
+			same++
+		}
 	}
-	st.degL[v] = c
+	st.same[v] = same
 	span := int64(float64(c) * (1 + mu))
 	if float64(span) < float64(c)*(1+mu) {
 		span++
@@ -63,7 +95,6 @@ func (st *simColState) initVertex(g *graph.Graph, rank []uint32, mu float64, v i
 		span = 1
 	}
 	st.span[v] = uint32(span)
-	st.forbid[v] = bitset.New(int(span) + 1)
 }
 
 // markForbidden records color c as unusable for v, ignoring colors beyond
@@ -74,26 +105,61 @@ func (st *simColState) markForbidden(v uint32, c uint32) {
 	}
 }
 
+// loadPartition prepares partition rl for simCol in one scan of each
+// vertex's adjacency list (Algorithm 4, lines 16-18): it pulls the colors
+// of the neighbors in higher, already colored partitions into Bv, and
+// copies the neighbors in rl itself into the vertex's list in st.adj.
+func (st *simColState) loadPartition(part []uint32, rl uint32) {
+	off := st.off[:len(part)+1]
+	var total int64
+	for i, v := range part {
+		off[i] = total
+		total += int64(st.same[v])
+	}
+	off[len(part)] = total
+	if int64(cap(st.adj)) < total {
+		st.adj = make([]uint32, total)
+	}
+	adj, end, rank, g := st.adj, st.end, st.rank, st.g
+	par.ForWeightedBy(st.p, len(part), func(i int) int64 {
+		return int64(g.Degree(part[i]))
+	}, func(i int) {
+		v := part[i]
+		k := off[i]
+		for _, u := range g.Neighbors(v) {
+			if ru := rank[u]; ru > rl {
+				st.markForbidden(v, st.colors[u])
+			} else if ru == rl {
+				adj[k] = u
+				k++
+			}
+		}
+		end[i] = k
+	})
+}
+
 // simCol colors one partition (Algorithm 5). part lists the vertices of
-// partition ℓ; their Bv bitmaps must already contain the colors of
-// neighbors in higher partitions. Returns (rounds, conflicts, edgesScanned).
+// partition ℓ, and loadPartition must have prepared it. Every round reads
+// only the lists of the vertices still uncolored, which hold exactly
+// their uncolored neighbors in ℓ, N_U(v). Returns (rounds, conflicts,
+// edgesScanned), where edgesScanned counts the list entries conflict
+// detection read.
 func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, int64, int64) {
 	p := st.p
-	n := st.g.NumVertices()
-	isActive := make([]bool, n)
-	for _, v := range part {
-		isActive[v] = true
+	adj, off, end, lost := st.adj, st.off, st.end, st.lost
+	// u holds the positions in part of the uncolored vertices.
+	u := make([]uint32, len(part))
+	for i := range u {
+		u[i] = uint32(i)
 	}
-	u := append([]uint32(nil), part...)
 	rounds := 0
 	var conflicts, edges int64
 	colors := st.colors
-	resetFlag := make([]bool, n)
 	for len(u) > 0 {
 		rounds++
 		// Part 1: tentative colors.
 		par.For(p, len(u), func(i int) {
-			v := u[i]
+			v := part[u[i]]
 			if itrRule {
 				// DEC-ADG-ITR (§IV-C): smallest color not in Bv.
 				c := st.forbid[v].NextClear(1)
@@ -107,22 +173,23 @@ func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, 
 			}
 		})
 		// Part 2: conflict detection (pull-style Reduce over N_U(v)),
-		// edge-balanced: the pass scans each active vertex's list.
+		// balanced by list length.
 		var roundConf int64
 		par.ForWorkersWeightedBy(p, len(u), nil, func(i int) int64 {
-			return int64(st.g.Degree(u[i]))
+			return end[u[i]] - off[u[i]]
 		}, func(w, lo, hi int) {
 			var local int64
 			var scanned int64
 			for i := lo; i < hi; i++ {
-				v := u[i]
+				k := u[i]
+				v := part[k]
 				cv := colors[v]
 				bad := st.forbid[v].Test(int(cv))
-				ns := st.g.Neighbors(v)
+				ns := adj[off[k]:end[k]]
 				scanned += int64(len(ns))
 				if !bad {
 					for _, nb := range ns {
-						if isActive[nb] && colors[nb] == cv {
+						if colors[nb] == cv {
 							if !itrRule || loses(v, nb, prio) {
 								bad = true
 								break
@@ -130,7 +197,7 @@ func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, 
 						}
 					}
 				}
-				resetFlag[v] = bad
+				lost[k] = bad
 				if bad {
 					local++
 				}
@@ -139,34 +206,32 @@ func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, 
 			par.FetchAdd64(&edges, scanned)
 		})
 		conflicts += roundConf
-		// Part 3: finalize winners, clear losers, update bitmaps.
+		// Part 3: finalize winners, clear losers...
 		par.For(p, len(u), func(i int) {
-			v := u[i]
-			if resetFlag[v] {
-				colors[v] = 0
+			if k := u[i]; lost[k] {
+				colors[part[k]] = 0
 			}
 		})
-		// Deactivate freshly colored vertices...
+		// ...then pull the winners' colors into the losers' bitmaps and
+		// drop the winners from the losers' lists.
 		par.For(p, len(u), func(i int) {
-			v := u[i]
-			if colors[v] > 0 {
-				isActive[v] = false
-			}
-		})
-		// ...then pull their colors into the survivors' bitmaps.
-		par.For(p, len(u), func(i int) {
-			v := u[i]
-			if colors[v] != 0 {
+			k := u[i]
+			if !lost[k] {
 				return
 			}
-			rv := st.rank[v]
-			for _, nb := range st.g.Neighbors(v) {
-				if st.rank[nb] == rv && !isActive[nb] && colors[nb] > 0 {
-					st.markForbidden(v, colors[nb])
+			v := part[k]
+			keep := off[k]
+			for _, nb := range adj[off[k]:end[k]] {
+				if c := colors[nb]; c != 0 {
+					st.markForbidden(v, c)
+				} else {
+					adj[keep] = nb
+					keep++
 				}
 			}
+			end[k] = keep
 		})
-		next := par.Pack(p, len(u), func(i int) bool { return colors[u[i]] == 0 })
+		next := par.Pack(p, len(u), func(i int) bool { return lost[u[i]] })
 		nu := make([]uint32, len(next))
 		par.For(p, len(next), func(i int) { nu[i] = u[next[i]] })
 		u = nu

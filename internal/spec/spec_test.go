@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,77 @@ func TestSimColRoundsLogarithmic(t *testing.T) {
 	// log2(2000) ≈ 11; allow a generous constant.
 	if res.Rounds > 40 {
 		t.Errorf("SIM-COL took %d rounds for n=2000, µ=2", res.Rounds)
+	}
+}
+
+// TestSimColReadsOnlyUnresolvedEdges checks SIMCOL against a plain
+// sequential model of Algorithm 5: the same colors, rounds and
+// conflicts, and conflict detection reading exactly N_U(v), the
+// still-uncolored neighbors, of every uncolored vertex in every round.
+// EdgesScanned is those reads plus one scan of the whole graph to load
+// the lists.
+func TestSimColReadsOnlyUnresolvedEdges(t *testing.T) {
+	g, err := gen.ErdosRenyiGNM(300, 2400, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mu, seed = 0.1, 3
+	span := newSimColState(g, make([]uint32, g.NumVertices()), mu, seed, 1).span
+	n := g.NumVertices()
+	colors := make([]uint32, n)
+	forbid := make([]map[uint32]bool, n)
+	for v := range forbid {
+		forbid[v] = map[uint32]bool{}
+	}
+	var active []uint32
+	for v := 0; v < n; v++ {
+		active = append(active, uint32(v))
+	}
+	rounds := 0
+	var conflicts, reads int64
+	for len(active) > 0 {
+		rounds++
+		inU := make([]bool, n)
+		for _, v := range active {
+			inU[v] = true
+			colors[v] = roundColor(seed, rounds, v, span[v])
+		}
+		var lost []uint32
+		for _, v := range active {
+			bad := forbid[v][colors[v]]
+			for _, u := range g.Neighbors(v) {
+				if inU[u] {
+					reads++
+					bad = bad || colors[u] == colors[v]
+				}
+			}
+			if bad {
+				lost = append(lost, v)
+			}
+		}
+		conflicts += int64(len(lost))
+		for _, v := range lost {
+			colors[v] = 0
+		}
+		for _, v := range lost {
+			for _, u := range g.Neighbors(v) {
+				if inU[u] && colors[u] != 0 {
+					forbid[v][colors[u]] = true
+				}
+			}
+		}
+		active = lost
+	}
+	for _, p := range []int{1, 2} {
+		res := SIMCOL(g, mu, Options{Procs: p, Seed: seed})
+		if !slices.Equal(res.Colors, colors) || res.Rounds != rounds || res.Conflicts != conflicts {
+			t.Errorf("p=%d: %d rounds and %d conflicts, model %d and %d (colors equal: %v)",
+				p, res.Rounds, res.Conflicts, rounds, conflicts, slices.Equal(res.Colors, colors))
+		}
+		if want := g.NumArcs() + reads; res.EdgesScanned != want {
+			t.Errorf("p=%d: EdgesScanned %d, want %d arcs loaded + %d read in detection",
+				p, res.EdgesScanned, g.NumArcs(), reads)
+		}
 	}
 }
 

@@ -43,11 +43,30 @@ PEERS="$(IFS=,; echo "${URLS[*]}")"
 WORK="$(mktemp -d)"
 JOURNAL="$WORK/mutations.jsonl"
 declare -A PIDS=()
+LOAD_PID=""
+# Every exit path, an early failure or a signal alike, kills and reaps
+# every background child (the colord nodes and colorload), so none
+# outlives the script.
 cleanup() {
-    for pid in "${PIDS[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
+    for pid in "${PIDS[@]}" $LOAD_PID; do kill -9 "$pid" 2>/dev/null || true; done
+    wait 2>/dev/null || true
     rm -rf "$WORK"
 }
 trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+# run_load ARGS...: run colorload in the background and wait for its
+# exit status. A signal then reaches the trap at once, not only after
+# colorload has finished, and cleanup reaps colorload too.
+run_load() {
+    bin/colorload "$@" &
+    LOAD_PID=$!
+    local rc=0
+    wait "$LOAD_PID" || rc=$?
+    LOAD_PID=""
+    return "$rc"
+}
 
 mkdir -p bin
 go build -o bin/colord ./cmd/colord
@@ -170,7 +189,7 @@ RESUME=""
 for seed in $SEEDS; do
     arm "$PRIMARY" "point=rpc,label=/v1/internal/replicate,mode=delay,delay=150ms,prob=0.5,seed=$seed"
     # shellcheck disable=SC2086
-    bin/colorload -addr "$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
+    run_load -addr "$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
         -c "$CLIENTS" -n "$REQUESTS" -verify -mutate-frac 0.3 \
         -request-timeout 30s -mutation-log "$JOURNAL" $RESUME
     RESUME="-resume"
@@ -249,7 +268,7 @@ roles "$GRAPH"
 arm "$PRIMARY" "point=crash.after-replicate,mode=crash,count=1"
 # The crash kills the primary mid-run: tolerate the transport errors,
 # the journal + resume reconcile whether the dying ack landed.
-bin/colorload -addr "$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
+run_load -addr "$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
     -c "$CLIENTS" -n 150 -verify -mutate-frac 0.4 -request-timeout 30s \
     -mutation-log "$JOURNAL" -resume -tolerate-request-errors
 wait "${PIDS[$PRIMARY_IDX]}" 2>/dev/null || true
@@ -268,7 +287,7 @@ wait_version "$PRIMARY" "$GRAPH" "$head_ver" 150
 # cluster to sit exactly at the journal's version — an acked mutation
 # lost in the crash window would fail here — and verifies every
 # returned coloring cross-node.
-bin/colorload -addr "$PRIMARY,$REPLICA,$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
+run_load -addr "$PRIMARY,$REPLICA,$OUTSIDER" -graph "$GRAPH" -spec "$SPEC" \
     -c "$CLIENTS" -n 150 -verify -mutate-frac 0.2 \
     -mutation-log "$JOURNAL" -resume
 echo "chaostest: phase E ok — crashed primary rejoined at v$head_ver, journal replay proves zero acked loss"

@@ -23,6 +23,34 @@ SPEC="${LOAD_SPEC:-kron:12}"
 # verified client-side against the replayed mutation log (E10/E11).
 MUTATE="${LOAD_MUTATE:-0.2}"
 
+COLORD_PID=""
+LOAD_PID=""
+PIDS=()
+WORK=""
+# Every exit path, an early failure or a signal alike, kills and reaps
+# every background child (the colord nodes and colorload), so none
+# outlives the script.
+cleanup() {
+    for pid in $COLORD_PID $LOAD_PID ${PIDS[@]+"${PIDS[@]}"}; do kill -9 "$pid" 2>/dev/null || true; done
+    wait 2>/dev/null || true
+    [ -z "$WORK" ] || rm -rf "$WORK"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+# run_load ARGS...: run colorload in the background and wait for its
+# exit status. A signal then reaches the trap at once, not only after
+# colorload has finished, and cleanup reaps colorload too.
+run_load() {
+    bin/colorload "$@" &
+    LOAD_PID=$!
+    local rc=0
+    wait "$LOAD_PID" || rc=$?
+    LOAD_PID=""
+    return "$rc"
+}
+
 mkdir -p bin
 go build -o bin/colord ./cmd/colord
 go build -o bin/colorload ./cmd/colorload
@@ -47,7 +75,6 @@ port_free "http://$ADDR" "${ADDR##*:}"
 bin/colord -addr "$ADDR" -max-inflight "$INFLIGHT" \
     -recolor -recolor-interval 100ms &
 COLORD_PID=$!
-trap 'kill "$COLORD_PID" 2>/dev/null || true; wait "$COLORD_PID" 2>/dev/null || true' EXIT
 
 # Wait for the daemon to come up (healthz), at most ~5s.
 up=""
@@ -64,7 +91,7 @@ if [ -z "$up" ]; then
     exit 1
 fi
 
-bin/colorload -addr "http://$ADDR" -graph loadtest -spec "$SPEC" \
+run_load -addr "http://$ADDR" -graph loadtest -spec "$SPEC" \
     -c "$CLIENTS" -n "$REQUESTS" -verify -mutate-frac "$MUTATE" \
     -metrics-out loadtest_metrics.json
 
@@ -145,7 +172,7 @@ echo "loadtest: recoloring saved $saved colors ($initial -> $colors) at version 
 
 kill "$COLORD_PID" 2>/dev/null || true
 wait "$COLORD_PID" 2>/dev/null || true
-trap - EXIT
+COLORD_PID=""
 
 # ---- pass 2: 3-node cluster, read-heavy binary protocol ----------------
 BASE_PORT="${LOAD_CLUSTER_BASE_PORT:-8745}"
@@ -157,13 +184,6 @@ URLS=()
 for p in "${PORTS[@]}"; do URLS+=("http://127.0.0.1:$p"); done
 PEERS="$(IFS=,; echo "${URLS[*]}")"
 WORK="$(mktemp -d)"
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
-    wait 2>/dev/null || true
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 for i in 0 1 2; do
     port_free "${URLS[$i]}" "${PORTS[$i]}"
@@ -185,9 +205,12 @@ done
 
 echo "loadtest: pass 2 — read-heavy binary protocol across ${URLS[*]}"
 BIN_OUT="$WORK/binary.out"
-bin/colorload -addr "$(IFS=,; echo "${URLS[*]}")" -graph loadbin -spec "$SPEC" \
+load_status=0
+run_load -addr "$(IFS=,; echo "${URLS[*]}")" -graph loadbin -spec "$SPEC" \
     -c "$CLIENTS" -n "$BIN_REQUESTS" -seeds 16 -verify -binary -mutate-frac 0 \
-    | tee "$BIN_OUT"
+    > "$BIN_OUT" || load_status=$?
+cat "$BIN_OUT"
+[ "$load_status" -eq 0 ] || exit "$load_status"
 
 # The summary line ends "... in 1.23s (1234.5 req/s)": hold it to the floor.
 awk -v floor="$BIN_FLOOR" '
