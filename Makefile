@@ -20,7 +20,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/par/... ./internal/jp/... ./internal/dynamic/... ./internal/speculate/... ./internal/service/... ./internal/cluster/... ./internal/faultinject/... ./internal/retry/... ./internal/obs/... ./internal/recolor/... ./internal/quality/...
+	go test -race ./internal/par/... ./internal/jp/... ./internal/dynamic/... ./internal/speculate/... ./internal/service/... ./internal/cluster/... ./internal/faultinject/... ./internal/retry/... ./internal/obs/... ./internal/recolor/... ./internal/quality/... ./internal/order/... ./internal/spec/... ./internal/greedy/... ./internal/proptest/... ./internal/mex/...
 
 # flake is the flake gate: the packages whose tests race real
 # listeners, WALs and background compactions, run 20 times under the
@@ -87,7 +87,7 @@ fuzz-smoke:
 
 # cover enforces the >= 80% statement-coverage floor on the core
 # packages (graph, jp, order, spec, verify, dynamic, store, cluster,
-# faultinject, retry, gen, speculate, obs) and leaves
-# the merged profile in coverage.out (uploaded as a CI artifact).
+# faultinject, retry, gen, speculate, obs, recolor, quality, mex) and
+# leaves the merged profile in coverage.out (uploaded as a CI artifact).
 cover:
 	./scripts/coverage.sh

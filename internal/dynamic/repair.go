@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/jp"
+	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/par"
 	"repro/internal/verify"
@@ -373,7 +374,6 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	for i, v := range dirty {
 		slot[v] = int32(i) + 1
 	}
-	deg := make([]int, nd)
 	fixOff := make([]int, nd+1)
 	// seen[c] == i+1 marks color c as already listed for dirty vertex i.
 	var fixed, buf, seen []uint32
@@ -382,10 +382,7 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	for i, v := range dirty {
 		buf = src.AppendNeighbors(buf[:0], v)
 		d := len(buf)
-		deg[i] = d
-		if d > maxDeg {
-			maxDeg = d
-		}
+		maxDeg = max(maxDeg, d)
 		if len(seen) < d+2 {
 			seen = make([]uint32, d+2)
 		}
@@ -425,13 +422,12 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 
 	newCol := make([]uint32, nd)
 	type workerState struct {
-		stamp []uint64
-		epoch uint64
-		next  []uint32
+		mex  mex.Set
+		next []uint32
 	}
 	states := make([]*workerState, p)
 	for w := range states {
-		states[w] = &workerState{stamp: make([]uint64, maxDeg+2)}
+		states[w] = &workerState{mex: mex.New(maxDeg)}
 	}
 	nextCounts := make([]int32, p)
 	nextOffs := make([]int64, p+1)
@@ -442,28 +438,21 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 			st := states[w]
 			for fi := lo; fi < hi; fi++ {
 				i := fr[fi]
-				st.epoch++
+				st.mex.Reset()
 				for _, cu := range fixed[fixOff[i]:fixOff[i+1]] {
-					st.stamp[cu] = st.epoch
+					st.mex.Forbid(cu)
 				}
 				// One scan, as in jp.ColorContext: a colored dirty
 				// neighbor is a predecessor, an uncolored one a
 				// successor to release.
-				d := deg[i]
 				for _, j := range sub.Neighbors(i) {
 					if cu := newCol[j]; cu != 0 {
-						if int(cu) <= d+1 {
-							st.stamp[cu] = st.epoch
-						}
+						st.mex.Forbid(cu)
 					} else if par.Join(&counts[j]) {
 						st.next = append(st.next, j)
 					}
 				}
-				nc := uint32(1)
-				for st.stamp[nc] == st.epoch {
-					nc++
-				}
-				newCol[i] = nc
+				newCol[i] = st.mex.Smallest()
 			}
 		})
 		// Deterministic frontier compaction in worker order (the same

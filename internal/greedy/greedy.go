@@ -7,6 +7,7 @@ package greedy
 
 import (
 	"repro/internal/graph"
+	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/verify"
 )
@@ -23,29 +24,16 @@ type Result struct {
 // coloring (JP is its parallelization).
 func Color(g *graph.Graph, ord *order.Ordering) *Result {
 	n := g.NumVertices()
-	seq := sortByKeyDesc(ord.Keys)
+	seq := order.ByKeyDesc(ord.Keys)
 	return colorSequence(g, seq, n)
 }
 
 // colorSequence colors vertices in the order given by seq.
 func colorSequence(g *graph.Graph, seq []uint32, n int) *Result {
 	colors := make([]uint32, n)
-	maxDeg := g.MaxDegree()
-	forbidden := make([]uint64, maxDeg+2)
-	var epoch uint64
+	s := mex.New(g.MaxDegree())
 	for _, v := range seq {
-		epoch++
-		deg := g.Degree(v)
-		for _, u := range g.Neighbors(v) {
-			if c := colors[u]; c != 0 && int(c) <= deg+1 {
-				forbidden[c] = epoch
-			}
-		}
-		c := uint32(1)
-		for forbidden[c] == epoch {
-			c++
-		}
-		colors[v] = c
+		colors[v] = s.Greedy(g.Neighbors(v), colors)
 	}
 	return &Result{Colors: colors, NumColors: verify.NumColors(colors)}
 }
@@ -81,8 +69,7 @@ func SD(g *graph.Graph) *Result {
 		buckets[0] = append(buckets[0], uint32(v))
 	}
 	cur := 0
-	forbidden := make([]uint64, maxDeg+2)
-	var epoch uint64
+	s := mex.New(maxDeg)
 	for colored := 0; colored < n; colored++ {
 		// Pop the live vertex with maximum saturation (ties: any).
 		v := -1
@@ -111,17 +98,7 @@ func SD(g *graph.Graph) *Result {
 			}
 		}
 		// Color v with the smallest free color.
-		epoch++
-		deg := g.Degree(uint32(v))
-		for _, u := range g.Neighbors(uint32(v)) {
-			if c := colors[u]; c != 0 && int(c) <= deg+1 {
-				forbidden[c] = epoch
-			}
-		}
-		c := uint32(1)
-		for forbidden[c] == epoch {
-			c++
-		}
+		c := s.Greedy(g.Neighbors(uint32(v)), colors)
 		colors[v] = c
 		// Update neighbor saturations.
 		for _, u := range g.Neighbors(uint32(v)) {
@@ -159,54 +136,3 @@ func SL(g *graph.Graph) *Result { return Color(g, order.SmallestLast(g)) }
 
 // R is Greedy in uniformly random order.
 func R(g *graph.Graph, seed uint64) *Result { return Color(g, order.Random(g, seed)) }
-
-// sortByKeyDesc returns vertex IDs sorted by decreasing key. Kept fully
-// sequential on purpose: the Greedy schemes are the Table III class-2
-// sequential yardsticks, and their reported runtimes must not vary with
-// GOMAXPROCS or borrow workers from the shared par pool.
-func sortByKeyDesc(keys []uint64) []uint32 {
-	n := len(keys)
-	idx := make([]uint32, n)
-	inv := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		idx[v] = uint32(v)
-		inv[v] = ^keys[v]
-	}
-	// LSD radix over inverted keys (ascending inverted = descending key).
-	kbuf := make([]uint64, n)
-	vbuf := make([]uint32, n)
-	ksrc, kdst := inv, kbuf
-	vsrc, vdst := idx, vbuf
-	for shift := uint(0); shift < 64; shift += 8 {
-		var counts [257]int
-		lo, hi := uint64(255), uint64(0)
-		for _, k := range ksrc {
-			b := (k >> shift) & 255
-			counts[b+1]++
-			if b < lo {
-				lo = b
-			}
-			if b > hi {
-				hi = b
-			}
-		}
-		if lo == hi {
-			continue
-		}
-		for i := 1; i < 257; i++ {
-			counts[i] += counts[i-1]
-		}
-		for i, k := range ksrc {
-			b := (k >> shift) & 255
-			kdst[counts[b]] = k
-			vdst[counts[b]] = vsrc[i]
-			counts[b]++
-		}
-		ksrc, kdst = kdst, ksrc
-		vsrc, vdst = vdst, vsrc
-	}
-	if n > 0 && &vsrc[0] != &idx[0] {
-		copy(idx, vsrc)
-	}
-	return idx
-}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/order"
 	"repro/internal/stats"
@@ -133,7 +132,7 @@ func TableIII(o Options) (string, error) {
 				return "", err
 			}
 			d := kcore.Degeneracy(bg.G)
-			bound := QualityBound(a.Name, bg.G, d, o.Epsilon)
+			bound := verify.QualityBound(a.Name, bg.G, d, o.Epsilon)
 			ok := "yes"
 			if res.NumColors > bound {
 				ok = "VIOLATED"
@@ -142,36 +141,6 @@ func TableIII(o Options) (string, error) {
 		}
 	}
 	return "Table III stand-in: measured algorithm matrix\n" + t.String(), nil
-}
-
-// QualityBound returns the provable color-count guarantee of the named
-// algorithm on a graph with degeneracy d (Table III): d+1 for SL,
-// 2(1+ε)d+1 for JP-ADG, 4d+1 for JP-ADG-M, the DEC composites'
-// bounds, and the trivial Δ+1 for everything else. Exported so the
-// cross-cutting property suite (internal/proptest) asserts the same
-// bounds the experiment tables report.
-func QualityBound(name string, g *graph.Graph, d int, eps float64) int {
-	switch name {
-	case "JP-SL":
-		return d + 1
-	case "JP-ADG":
-		return ceilMul(2*(1+eps), d) + 1
-	case "JP-ADG-M":
-		return 4*d + 1
-	case "DEC-ADG", "DEC-ADG-M", "DEC-ADG-ITR":
-		return decBound(name, d, eps)
-	default:
-		return g.MaxDegree() + 1
-	}
-}
-
-func ceilMul(f float64, d int) int {
-	v := f * float64(d)
-	i := int(v)
-	if float64(i) < v {
-		i++
-	}
-	return i
 }
 
 // Figure1 regenerates Fig. 1 (experiment E3): per graph and algorithm,
@@ -448,23 +417,6 @@ func Experiments() map[string]func(Options) (string, error) {
 		"ablation":   Ablation,
 		"dynamic":    DynamicRepair,
 	}
-}
-
-// decBound mirrors spec.DECQualityBound without exporting the dependency
-// upward; kept in sync by the cross-check test.
-func decBound(name string, d int, eps float64) int {
-	if eps <= 0 {
-		eps = 0.5
-	}
-	switch name {
-	case "DEC-ADG":
-		return ceilMul((1+eps/4)*2*(1+eps/12), d) + 1
-	case "DEC-ADG-M":
-		return ceilMul((1+eps/4)*4, d) + 1
-	case "DEC-ADG-ITR":
-		return ceilMul(2*(1+eps/12), d) + 1
-	}
-	return 1 << 30
 }
 
 // VerifyAll runs every registered algorithm on a small graph and checks

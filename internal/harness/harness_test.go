@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
-	"repro/internal/spec"
 	"repro/internal/verify"
 )
 
@@ -84,18 +83,6 @@ func TestJPAlgorithmsReportPhaseSplit(t *testing.T) {
 		}
 		if res.ColorSeconds <= 0 {
 			t.Errorf("%s: no color phase recorded", name)
-		}
-	}
-}
-
-func TestDecBoundMatchesSpecPackage(t *testing.T) {
-	for _, name := range []string{"DEC-ADG", "DEC-ADG-M", "DEC-ADG-ITR"} {
-		for _, d := range []int{1, 3, 17} {
-			for _, eps := range []float64{0.01, 0.5, 5} {
-				if got, want := decBound(name, d, eps), spec.DECQualityBound(name, d, eps); got != want {
-					t.Errorf("%s d=%d eps=%v: harness bound %d != spec bound %d", name, d, eps, got, want)
-				}
-			}
 		}
 	}
 }

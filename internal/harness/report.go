@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/verify"
 )
 
 // AlgoRecordSchemaVersion identifies the AlgoRecord field set. Bump it
@@ -111,7 +112,7 @@ func MatrixReport(opts Options, algos []string, procs []int) ([]MatrixRecord, er
 						best = res
 					}
 				}
-				bound := QualityBound(a.Name, bg.G, d, opts.Epsilon)
+				bound := verify.QualityBound(a.Name, bg.G, d, opts.Epsilon)
 				out = append(out, MatrixRecord{
 					SchemaVersion:  MatrixRecordSchemaVersion,
 					Graph:          bg.Name,

@@ -15,6 +15,7 @@ import (
 	"context"
 
 	"repro/internal/graph"
+	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/par"
 	"repro/internal/verify"
@@ -35,11 +36,10 @@ type Result struct {
 	AtomicOps int64
 }
 
-// workerState is per-worker scratch for GetColor: a stamped forbidden
-// array avoids clearing between vertices.
+// workerState is per-worker scratch: GetColor's forbidden set and the
+// vertices this worker released for the next round.
 type workerState struct {
-	stamp []uint64
-	epoch uint64
+	mex   mex.Set
 	next  []uint32
 	edges int64
 	atoms int64
@@ -83,12 +83,11 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 	// Roots: vertices with no predecessors.
 	frontier := par.Pack(p, n, func(v int) bool { return counts[v] == 0 })
 
-	// Per-worker scratch. Colors handed to v never exceed deg(v)+1, so the
-	// stamp array needs maxDeg+2 slots.
+	// Per-worker scratch.
 	maxDeg := g.MaxDegree()
 	states := make([]*workerState, p)
 	for w := range states {
-		states[w] = &workerState{stamp: make([]uint64, maxDeg+2)}
+		states[w] = &workerState{mex: mex.New(maxDeg)}
 	}
 
 	colors := res.Colors
@@ -117,17 +116,14 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 				// its colored neighbors are exactly its predecessors:
 				// every predecessor was colored in an earlier round, and
 				// no successor can be colored before v releases it. So a
-				// nonzero color is stamped as forbidden and a zero one
-				// marks a successor to release.
-				st.epoch++
+				// nonzero color is forbidden and a zero one marks a
+				// successor to release.
+				st.mex.Reset()
 				ns := g.Neighbors(v)
 				st.edges += int64(len(ns))
-				degV := len(ns)
 				for _, u := range ns {
 					if c := colors[u]; c != 0 {
-						if int(c) <= degV+1 {
-							st.stamp[c] = st.epoch
-						}
+						st.mex.Forbid(c)
 					} else {
 						st.atoms++
 						if par.Join(&counts[u]) {
@@ -135,11 +131,7 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 						}
 					}
 				}
-				c := uint32(1)
-				for st.stamp[c] == st.epoch {
-					c++
-				}
-				colors[v] = c
+				colors[v] = st.mex.Smallest()
 			}
 		})
 		// Collect the next frontier: per-worker buffers are compacted with

@@ -83,7 +83,7 @@ func TestQualityGuarantees(t *testing.T) {
 		d := kcore.Degeneracy(g)
 		for _, va := range variants() {
 			res, _ := va.run(g, Options{Procs: 2, Seed: 7, Epsilon: eps})
-			bound := QualityBound(va.name, g, d, eps)
+			bound := verify.QualityBound(va.name, g, d, eps)
 			if err := verify.AssertBound(va.name, res.NumColors, bound); err != nil {
 				t.Errorf("%s: %v (d=%d, Δ=%d)", gname, err, d, g.MaxDegree())
 			}

@@ -92,28 +92,3 @@ func ADGM(g *graph.Graph, o Options) (*Result, *order.Ordering) {
 	})
 	return Color(g, ord, o.Procs), ord
 }
-
-// QualityBound returns the provable color-count guarantee for the variant
-// identified by name on graph g with degeneracy d (Table III): d+1 for SL,
-// ⌈2(1+ε)d⌉+1 for ADG, 4d+1 for ADG-M, and Δ+1 otherwise.
-func QualityBound(name string, g *graph.Graph, d int, eps float64) int {
-	switch name {
-	case "JP-SL":
-		return d + 1
-	case "JP-ADG", "JP-ADG-O":
-		return ceilMul(2*(1+eps), d) + 1
-	case "JP-ADG-M", "JP-ADG-M-O":
-		return 4*d + 1
-	default:
-		return g.MaxDegree() + 1
-	}
-}
-
-func ceilMul(f float64, d int) int {
-	v := f * float64(d)
-	i := int(v)
-	if float64(i) < v {
-		i++
-	}
-	return i
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/sortutil"
-	"repro/internal/xrand"
 )
 
 // ADGOptions configures the approximate-degeneracy-ordering family.
@@ -31,9 +30,8 @@ type ADGOptions struct {
 	// that pull, or Algorithm 1's push of one DecrementAndFetch per arc
 	// from the batch into a survivor. The output is the same either way.
 	CREW bool
-	// Sorted selects ADG-O (Algorithm 6, §V-A/B/C): batches are kept in
-	// one contiguous [R(1) … R(i) | U] array, each batch is counting-
-	// sorted by residual degree into an explicit total order, and the JP
+	// Sorted selects ADG-O (Algorithm 6, §V-B/C): each batch is sorted
+	// by residual degree into an explicit total order, and the JP
 	// in-degree array ("rank") is fused into UPDATE, letting JP skip its
 	// DAG-construction pass.
 	Sorted bool
@@ -92,205 +90,205 @@ func ADG(g *graph.Graph, opts ADGOptions) *Ordering {
 // per peeling iteration (ADG performs O(log n / log(1+ε)) of them, Lemma
 // 1), so a cancelled caller gets control back within one round. On
 // cancellation the partial ordering is discarded and ctx.Err() returned.
+//
+// One peeling loop serves all four variants. It keeps the vertices in
+// Algorithm 6's array [R(1) … R(i) | U]: each iteration moves the batch
+// R(i+1) to the front of the window U with one stable partition, then
+// runs UPDATE on the batch and the survivors behind it. Plain ADG and
+// ADG-M give every vertex of a batch its iteration as the key, so the
+// batches are the Partitions; ADG-O and ADG-M-O sort each batch by
+// residual degree and give every vertex its position in the array
+// (§V-B), with JP's in-degrees fused into UPDATE (§V-C).
 func ADGContext(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering, error) {
 	if opts.Epsilon < 0 {
 		opts.Epsilon = 0
 	}
-	if opts.Sorted {
-		return adgSorted(ctx, g, opts)
-	}
-	return adgPlain(ctx, g, opts)
-}
-
-// adgPlain is Algorithm 1 (and ADG-M): vertices removed in the same
-// iteration share a rank; ties are broken by the random permutation.
-func adgPlain(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering, error) {
 	n := g.NumVertices()
 	p := opts.Procs
-	deg := g.Degrees()
-	rank := make([]uint32, n)
-	for v := range rank {
-		rank[v] = unsetRank
+	if p <= 0 {
+		p = par.DefaultProcs()
 	}
-	active := make([]uint32, n)
-	for i := range active {
-		active[i] = uint32(i)
+	deg := g.Degrees()
+	// key[v] is v's removal key, unsetRank while v is active.
+	key := make([]uint32, n)
+	arr := make([]uint32, n)
+	maxDeg := 0
+	for v := range key {
+		key[v] = unsetRank
+		arr[v] = uint32(v)
+		maxDeg = max(maxDeg, int(deg[v]))
+	}
+	var pred []int32
+	if opts.Sorted {
+		pred = make([]int32, n)
+	}
+	up := newUpdater(g, p, opts.CREW)
+	sp := splitter{p: p, scratch: make([]uint32, n), cnt: make([]int, 2*p)}
+	// §V-F: optionally maintain the active degree sum incrementally.
+	cacheSum := opts.CacheDegreeSums && !opts.Median
+	var sum int64
+	if cacheSum {
+		sum = par.ReduceInt64(p, n, func(i int) int64 { return int64(deg[i]) })
 	}
 	var partitions [][]uint32
-	iter := uint32(0)
-	up := newUpdater(g, p, opts.CREW)
-	// §V-F: optionally maintain the active degree sum incrementally.
-	var cachedSum int64
-	if opts.CacheDegreeSums && !opts.Median {
-		cachedSum = par.ReduceInt64(p, n, func(i int) int64 { return int64(deg[i]) })
-	}
-	for len(active) > 0 {
-		if err := par.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		var batch []uint32
-		if opts.CacheDegreeSums && !opts.Median {
-			batch = selectBatchWithSum(active, deg, opts, p, cachedSum)
-			// Subtract the removed batch's residual degrees now; the cut
-			// edges into survivors are subtracted during UPDATE below.
-			cachedSum -= par.ReduceInt64(p, len(batch), func(i int) int64 {
-				return int64(deg[batch[i]])
-			})
-		} else {
-			batch = selectBatch(active, deg, opts, p)
-		}
-		// Assign the iteration rank.
-		par.For(p, len(batch), func(i int) { rank[batch[i]] = iter })
-		partitions = append(partitions, batch)
-		// Survivors.
-		keepIdx := par.Pack(p, len(active), func(i int) bool {
-			return rank[active[i]] == unsetRank
-		})
-		next := make([]uint32, len(keepIdx))
-		par.For(p, len(keepIdx), func(i int) { next[i] = active[keepIdx[i]] })
-		// UPDATE. When caching degree sums (§V-F), the cut edges
-		// removed from the survivors' side are subtracted too.
-		cut := up.update(rank, iter, iter+1, batch, next, deg, nil)
-		if opts.CacheDegreeSums && !opts.Median {
-			cachedSum -= cut
-		}
-		active = next
-		iter++
-	}
-	name := "ADG"
-	if opts.Median {
-		name = "ADG-M"
-	}
-	o := NewFromRanks(name, rank, opts.Seed)
-	o.Partitions = partitions
-	o.Iterations = int(iter)
-	return o, nil
-}
-
-// selectBatch returns the vertices of active to remove this iteration:
-// degree ≤ (1+ε)·δ̂ for ADG, or the lower half by degree for ADG-M.
-func selectBatch(active []uint32, deg []int32, opts ADGOptions, p int) []uint32 {
-	if opts.Median {
-		degs := make([]int32, len(active))
-		par.For(p, len(active), func(i int) { degs[i] = deg[active[i]] })
-		med := sortutil.MedianOfInt32(degs)
-		half := (len(active) + 1) / 2
-		lessIdx := par.Pack(p, len(active), func(i int) bool { return degs[i] < med })
-		batch := make([]uint32, 0, half)
-		for _, i := range lessIdx {
-			batch = append(batch, active[i])
-		}
-		if len(batch) < half {
-			take := half - len(batch)
-			for i := range active {
-				if degs[i] == med {
-					batch = append(batch, active[i])
-					take--
-					if take == 0 {
-						break
-					}
-				}
-			}
-		}
-		return batch
-	}
-	sum := par.ReduceInt64(p, len(active), func(i int) int64 {
-		return int64(deg[active[i]])
-	})
-	return thresholdBatch(active, deg, opts.Epsilon, p, sum)
-}
-
-// selectBatchWithSum is the §V-F path: the degree sum is supplied from
-// the incrementally maintained cache instead of a fresh Reduce.
-func selectBatchWithSum(active []uint32, deg []int32, opts ADGOptions, p int, sum int64) []uint32 {
-	return thresholdBatch(active, deg, opts.Epsilon, p, sum)
-}
-
-func thresholdBatch(active []uint32, deg []int32, eps float64, p int, sum int64) []uint32 {
-	avg := float64(sum) / float64(len(active))
-	threshold := (1 + eps) * avg
-	idx := par.Pack(p, len(active), func(i int) bool {
-		return float64(deg[active[i]]) <= threshold
-	})
-	batch := make([]uint32, len(idx))
-	par.For(p, len(idx), func(i int) { batch[i] = active[idx[i]] })
-	return batch
-}
-
-// adgSorted is ADG-O (Algorithm 6): the contiguous [R … | U] array with
-// in-batch counting sort by residual degree, explicit total priorities, and
-// the fused JP in-degree computation in UPDATEandPRIORITIZE.
-func adgSorted(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering, error) {
-	n := g.NumVertices()
-	p := opts.Procs
-	deg := g.Degrees()
-	maxDeg := g.MaxDegree()
-	pos := make([]uint32, n) // final total-order position; unsetRank = active
-	for v := range pos {
-		pos[v] = unsetRank
-	}
-	arr := make([]uint32, n) // the combined [R(1) … R(i) | U] array
-	for i := range arr {
-		arr[i] = uint32(i)
-	}
-	predCount := make([]int32, n)
-	up := newUpdater(g, p, opts.CREW)
-	removed := 0
-	iter := 0
+	removed, iter := 0, 0
 	for removed < n {
 		if err := par.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		active := arr[removed:]
-		var batch []uint32
-		if opts.Median {
-			// ADG-M-O: counting sort the whole active window by degree,
-			// take the lower half.
-			sortutil.CountingSortByKey(active, maxDeg+1, func(v uint32) int { return int(deg[v]) })
-			half := (len(active) + 1) / 2
-			batch = active[:half]
-		} else {
-			sum := par.ReduceInt64(p, len(active), func(i int) int64 {
-				return int64(deg[active[i]])
-			})
-			threshold := (1 + opts.Epsilon) * float64(sum) / float64(len(active))
-			// PARTITION (§V-A): stable split into [R | U\R] in O(|U|).
-			batch = partitionInPlace(active, func(v uint32) bool {
-				return float64(deg[v]) <= threshold
-			})
-			// SORT (§V-B): order R by increasing residual degree with the
-			// configured integer sort.
-			sortBatch(batch, deg, maxDeg, opts.Sort)
+		win := arr[removed:]
+		var k int
+		switch {
+		case opts.Median && opts.Sorted:
+			// ADG-M-O sorts the whole window by degree and takes its
+			// lower half, so the survivors stay sorted too.
+			sortutil.CountingSortByKey(win, maxDeg+1, func(v uint32) int { return int(deg[v]) })
+			k = (len(win) + 1) / 2
+		case opts.Median:
+			k = sp.median(win, deg)
+		default:
+			if !cacheSum {
+				sum = par.ReduceInt64(p, len(win), func(i int) int64 { return int64(deg[win[i]]) })
+			}
+			k = sp.split(win, deg, firstAbove(threshold(opts.Epsilon, sum, len(win), opts.Sorted)), 0)
 		}
-		// Explicit total priorities ℓ+i (§V-B).
-		base := uint32(removed)
-		par.For(p, len(batch), func(i int) {
-			pos[batch[i]] = base + uint32(i)
-		})
-		// UPDATEandPRIORITIZE (§V-C): the update also derives each batch
-		// vertex's JP DAG in-degree.
-		up.update(pos, base, base+uint32(len(batch)), batch, arr[removed+len(batch):], deg, predCount)
-		removed += len(batch)
+		batch := win[:k:k]
+		lo, hi := uint32(iter), uint32(iter+1)
+		if opts.Sorted {
+			if !opts.Median {
+				sortBatch(batch, deg, maxDeg, opts.Sort)
+			}
+			lo, hi = uint32(removed), uint32(removed+k)
+			par.For(p, k, func(i int) { key[batch[i]] = lo + uint32(i) })
+		} else {
+			par.For(p, k, func(i int) { key[batch[i]] = lo })
+			partitions = append(partitions, batch)
+		}
+		if cacheSum {
+			sum -= par.ReduceInt64(p, k, func(i int) int64 { return int64(deg[batch[i]]) })
+		}
+		// UPDATE. With cached sums, the cut edges leave the survivors'
+		// side of the sum too.
+		cut := up.update(key, lo, hi, batch, win[k:], deg, pred)
+		if cacheSum {
+			sum -= cut
+		}
+		removed += k
 		iter++
 	}
-	name := "ADG-O"
+	name := "ADG"
 	if opts.Median {
-		name = "ADG-M-O"
+		name += "-M"
 	}
-	perm := xrand.New(opts.Seed).Perm(n, nil)
-	keys := make([]uint64, n)
-	par.For(p, n, func(v int) {
-		keys[v] = uint64(pos[v])<<32 | uint64(perm[v])
+	if opts.Sorted {
+		name += "-O"
+	}
+	o := NewFromRanks(name, key, opts.Seed)
+	o.Partitions = partitions
+	o.Iterations = iter
+	o.PredCount = pred
+	return o, nil
+}
+
+// threshold is Algorithm 1's bound (1+ε)·δ̂ for a window of m vertices
+// with degree sum sum. Plain ADG and ADG-O round it in different orders,
+// and at ε = 0.01/12 the two disagree on some integer degrees, so each
+// keeps its own rounding: orderings must not move.
+func threshold(eps float64, sum int64, m int, sorted bool) float64 {
+	if sorted {
+		return (1 + eps) * float64(sum) / float64(m)
+	}
+	return (1 + eps) * (float64(sum) / float64(m))
+}
+
+// firstAbove returns the least integer degree above t: for an integer
+// degree d, d ≤ t exactly when d < firstAbove(t).
+func firstAbove(t float64) int32 {
+	if t >= math.MaxInt32-1 {
+		return math.MaxInt32
+	}
+	return int32(t) + 1
+}
+
+// splitter moves each iteration's batch to the front of its window with
+// one stable partition, built like par.Pack: per-block counts, an
+// exclusive scan over them, and a scatter into one scratch array that is
+// then copied back. Its buffers are allocated once per ADG call.
+type splitter struct {
+	p       int
+	scratch []uint32
+	degs    []int32 // ADG-M's window degrees, for the median
+	// cnt[2w] and cnt[2w+1] count block w's vertices of degree below
+	// and equal to split's bound, then hold their exclusive scans.
+	cnt []int
+}
+
+// median is ADG-M's selection (§V-D): the batch is the vertices below
+// the window's lower median degree, then the first median-degree ones
+// in window order, half the window in all.
+func (sp *splitter) median(win []uint32, deg []int32) int {
+	if sp.degs == nil { // the first window is the largest
+		sp.degs = make([]int32, len(win))
+	}
+	degs := sp.degs[:len(win)]
+	par.For(sp.p, len(win), func(i int) { degs[i] = deg[win[i]] })
+	return sp.split(win, deg, sortutil.MedianOfInt32(degs), (len(win)+1)/2)
+}
+
+// split stably reorders win into [degree below bound | the first
+// vertices of degree bound | the rest] and returns the length of the
+// batch, the first two parts. Vertices of degree bound join in window
+// order until the batch holds want vertices; with want = 0 the batch is
+// the vertices below bound. Both passes see the same blocks, because
+// par.ForWorkers blocks a range as a pure function of (p, len(win)).
+func (sp *splitter) split(win []uint32, deg []int32, bound int32, want int) int {
+	m, cnt, scratch := len(win), sp.cnt, sp.scratch
+	clear(cnt)
+	par.ForWorkers(sp.p, m, func(w, lo, hi int) {
+		var below, at int
+		for _, v := range win[lo:hi] {
+			switch d := deg[v]; {
+			case d < bound:
+				below++
+			case d == bound:
+				at++
+			}
+		}
+		cnt[2*w], cnt[2*w+1] = below, at
 	})
-	// Rank here is the fine-grained total position; iteration partitions
-	// (needed only by DEC-ADG) come from the unsorted ADG variant.
-	return &Ordering{
-		Name:       name,
-		Keys:       keys,
-		Rank:       pos,
-		Iterations: iter,
-		PredCount:  predCount,
-	}, nil
+	var below, at int
+	for w := 0; w < len(cnt); w += 2 {
+		b, a := cnt[w], cnt[w+1]
+		cnt[w], cnt[w+1] = below, at
+		below += b
+		at += a
+	}
+	take := min(max(want-below, 0), at)
+	k := below + take
+	par.ForWorkers(sp.p, m, func(w, lo, hi int) {
+		i0, e := cnt[2*w], cnt[2*w+1]
+		// The rest placed before this block: its vertices minus those
+		// below bound and the taken ones at bound.
+		ir := k + lo - i0 - min(e, take)
+		for _, v := range win[lo:hi] {
+			switch d := deg[v]; {
+			case d < bound:
+				scratch[i0] = v
+				i0++
+				continue
+			case d == bound:
+				e++
+				if e <= take {
+					scratch[below+e-1] = v
+					continue
+				}
+			}
+			scratch[ir] = v
+			ir++
+		}
+	})
+	copy(win, scratch[:m])
+	return k
 }
 
 // pullPerPush is the UPDATE direction constant. A pushed arc pays a
@@ -315,14 +313,19 @@ func pullCheaper(volSurvivors, volBatch int64) bool {
 // in the active vertices' lists, so choosing a direction costs
 // O(min(|batch|, |survivors|)).
 type updater struct {
-	g    *graph.Graph
-	p    int
-	crew bool  // always pull: nothing is written concurrently
-	vol  int64 // vol(active)
+	g      *graph.Graph
+	p      int
+	crew   bool    // always pull: nothing is written concurrently
+	vol    int64   // vol(active)
+	prefix []int64 // the edge-balanced blocks' weight prefix, reused by every pass
 }
 
 func newUpdater(g *graph.Graph, p int, crew bool) *updater {
-	return &updater{g: g, p: p, crew: crew, vol: g.NumArcs()}
+	up := &updater{g: g, p: p, crew: crew, vol: g.NumArcs()}
+	if p > 1 {
+		up.prefix = make([]int64, g.NumVertices()+1)
+	}
+	return up
 }
 
 // update subtracts from each survivor's residual degree its neighbors
@@ -366,7 +369,7 @@ func (up *updater) volume(vs []uint32) int64 {
 func (up *updater) push(r, batch []uint32, deg, pred []int32) int64 {
 	g := up.g
 	var cut int64
-	forEachBlock(g, up.p, batch, func(a, b int) {
+	up.forEachBlock(batch, func(a, b int) {
 		var blockCut int64
 		for _, v := range batch[a:b] {
 			rv := r[v]
@@ -398,7 +401,7 @@ func (up *updater) pull(r []uint32, lo, hi uint32, batch, survivors []uint32, de
 	g := up.g
 	width := hi - lo
 	var cut int64
-	forEachBlock(g, up.p, survivors, func(a, b int) {
+	up.forEachBlock(survivors, func(a, b int) {
 		var blockCut int64
 		for _, u := range survivors[a:b] {
 			var c int32
@@ -424,7 +427,7 @@ func (up *updater) pull(r []uint32, lo, hi uint32, batch, survivors []uint32, de
 		par.FetchAdd64(&cut, blockCut)
 	})
 	if pred != nil {
-		forEachBlock(g, up.p, batch, func(a, b int) {
+		up.forEachBlock(batch, func(a, b int) {
 			for _, v := range batch[a:b] {
 				rv := r[v]
 				var above int32
@@ -442,27 +445,11 @@ func (up *updater) pull(r []uint32, lo, hi uint32, batch, survivors []uint32, de
 
 // forEachBlock runs body over edge-balanced blocks of vs: every pass of
 // update scans the whole adjacency list of each vertex it visits.
-func forEachBlock(g *graph.Graph, p int, vs []uint32, body func(lo, hi int)) {
-	par.ForWorkersWeightedBy(p, len(vs), nil, func(i int) int64 {
+func (up *updater) forEachBlock(vs []uint32, body func(lo, hi int)) {
+	g := up.g
+	par.ForWorkersWeightedBy(up.p, len(vs), up.prefix, func(i int) int64 {
 		return int64(g.Degree(vs[i]))
 	}, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// partitionInPlace stably reorders a so that elements satisfying keep come
-// first and returns the prefix. O(len(a)) time and scratch.
-func partitionInPlace(a []uint32, keep func(v uint32) bool) []uint32 {
-	tail := make([]uint32, 0, len(a))
-	w := 0
-	for _, v := range a {
-		if keep(v) {
-			a[w] = v
-			w++
-		} else {
-			tail = append(tail, v)
-		}
-	}
-	copy(a[w:], tail)
-	return a[:w]
 }
 
 // TheoreticalIterationBound returns the upper bound on ADG iterations from

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -237,6 +238,19 @@ func TestPullCheaper(t *testing.T) {
 	}
 }
 
+// TestThresholdRoundings pins both roundings of (1+ε)·δ̂ where they
+// disagree: at ε 0.01/12, a window of 3 vertices with degree sum 3600
+// cuts at exactly 1201 in plain ADG and just below it in ADG-O, so a
+// vertex of degree 1201 joins the batch in one and not the other.
+func TestThresholdRoundings(t *testing.T) {
+	if got := threshold(0.01/12, 3600, 3, false); got != 1201 {
+		t.Errorf("plain ADG threshold = %v, want 1201", got)
+	}
+	if got := threshold(0.01/12, 3600, 3, true); got >= 1201 {
+		t.Errorf("ADG-O threshold = %v, want just below 1201", got)
+	}
+}
+
 func TestADGDeterministicAcrossProcs(t *testing.T) {
 	// The removal schedule is deterministic: ranks must not depend on the
 	// worker count (Las Vegas randomness lives only in the seed).
@@ -383,6 +397,30 @@ func BenchmarkADG(b *testing.B) {
 				ADG(g, cfg.opts)
 			}
 		})
+	}
+}
+
+// TestADGAllocatesLinearly bounds the bytes one ADG call allocates on
+// grid:300:300 at ε 0.01/12, DEC's decomposition, which peels 150 thin
+// layers. A loop that allocates O(|active|) per iteration allocates
+// hundreds of bytes per vertex here; one that allocates its buffers once
+// per call stays under 64.
+func TestADGAllocatesLinearly(t *testing.T) {
+	g, err := gen.Grid2D(300, 300, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sorted := range []bool{false, true} {
+		opts := ADGOptions{Epsilon: 0.01 / 12, Procs: 2, Seed: 1, Sorted: sorted}
+		ADG(g, opts) // warm the par pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := ADG(g, opts)
+		runtime.ReadMemStats(&after)
+		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumVertices())
+		if perVertex > 64 {
+			t.Errorf("%s: %.1f bytes per vertex over %d iterations, want <= 64", o.Name, perVertex, o.Iterations)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/sortutil"
 	"repro/internal/xrand"
 )
 
@@ -156,19 +157,9 @@ func LongestPath(g *graph.Graph, keys []uint64) int {
 	if n == 0 {
 		return 0
 	}
-	idx := make([]uint32, n)
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	// Sort by decreasing key.
-	sorted := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		sorted[v] = ^keys[v]
-	}
-	orderIdx := argsortUint64(sorted, idx)
 	depth := make([]int32, n)
 	best := int32(0)
-	for _, v := range orderIdx {
+	for _, v := range ByKeyDesc(keys) {
 		d := int32(1)
 		kv := keys[v]
 		for _, u := range g.Neighbors(v) {
@@ -184,57 +175,17 @@ func LongestPath(g *graph.Graph, keys []uint64) int {
 	return int(best)
 }
 
-// argsortUint64 sorts idx by ascending vals[idx[i]] and returns idx.
-func argsortUint64(vals []uint64, idx []uint32) []uint32 {
-	keys := make([]uint64, len(idx))
-	for i, v := range idx {
-		keys[i] = vals[v]
+// ByKeyDesc returns the vertices sorted by decreasing key. It runs
+// sequentially, so the Greedy schemes that color in this order, the
+// Table III class-2 yardsticks, never borrow the par pool and their
+// runtimes do not vary with GOMAXPROCS.
+func ByKeyDesc(keys []uint64) []uint32 {
+	idx := make([]uint32, len(keys))
+	inv := make([]uint64, len(keys))
+	for v, k := range keys {
+		idx[v] = uint32(v)
+		inv[v] = ^k // ascending inverted = descending key
 	}
-	// Simple pairing: reuse radix pair sort from sortutil would add a
-	// dependency cycle risk; inline LSD radix over (key, idx).
-	radixPairs(keys, idx)
+	sortutil.RadixSortPairs(inv, idx)
 	return idx
-}
-
-func radixPairs(keys []uint64, vals []uint32) {
-	n := len(keys)
-	if n <= 1 {
-		return
-	}
-	kbuf := make([]uint64, n)
-	vbuf := make([]uint32, n)
-	ksrc, kdst := keys, kbuf
-	vsrc, vdst := vals, vbuf
-	for shift := uint(0); shift < 64; shift += 8 {
-		var counts [257]int
-		lo, hi := uint64(255), uint64(0)
-		for _, k := range ksrc {
-			b := (k >> shift) & 255
-			counts[b+1]++
-			if b < lo {
-				lo = b
-			}
-			if b > hi {
-				hi = b
-			}
-		}
-		if lo == hi {
-			continue
-		}
-		for i := 1; i < 257; i++ {
-			counts[i] += counts[i-1]
-		}
-		for i, k := range ksrc {
-			b := (k >> shift) & 255
-			kdst[counts[b]] = k
-			vdst[counts[b]] = vsrc[i]
-			counts[b]++
-		}
-		ksrc, kdst = kdst, ksrc
-		vsrc, vdst = vdst, vsrc
-	}
-	if &ksrc[0] != &keys[0] {
-		copy(keys, ksrc)
-		copy(vals, vsrc)
-	}
 }

@@ -11,7 +11,7 @@
 //     bit-identical coloring at p ∈ {1, 2, 8} for a fixed seed (the
 //     property the serving layer's result cache is sound under);
 //  3. quality: the color count stays within the algorithm's provable
-//     bound (harness.QualityBound — e.g. JP-ADG within
+//     bound (verify.QualityBound — e.g. JP-ADG within
 //     2(1+ε)·degeneracy+1, Table III).
 //
 // The helpers live outside the _test file so future suites (e.g. a
@@ -90,7 +90,7 @@ func CheckAlgorithm(a harness.Algorithm, fam Family, seed uint64, eps float64) [
 	}
 
 	// Quality: within the algorithm's provable bound.
-	bound := harness.QualityBound(a.Name, fam.G, fam.Degeneracy, eps)
+	bound := verify.QualityBound(a.Name, fam.G, fam.Degeneracy, eps)
 	if err := verify.AssertBound(a.Name, ref.NumColors, bound); err != nil {
 		out = append(out, Violation(fmt.Sprintf("on %s (d=%d): %v", fam.Name, fam.Degeneracy, err)))
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/mex"
 	"repro/internal/par"
 	"repro/internal/verify"
 	"repro/internal/xrand"
@@ -112,23 +113,10 @@ func regreedy(g *graph.Graph, colors []uint32, strategy Strategy, rng *xrand.RNG
 		}
 	}
 	out := make([]uint32, len(colors))
-	maxDeg := g.MaxDegree()
-	forbidden := make([]uint64, maxDeg+2)
-	var epoch uint64
+	s := mex.New(g.MaxDegree())
 	for _, c := range idx {
 		for _, v := range classes[c] {
-			epoch++
-			deg := g.Degree(v)
-			for _, u := range g.Neighbors(v) {
-				if cu := out[u]; cu != 0 && int(cu) <= deg+1 {
-					forbidden[cu] = epoch
-				}
-			}
-			nc := uint32(1)
-			for forbidden[nc] == epoch {
-				nc++
-			}
-			out[v] = nc
+			out[v] = s.Greedy(g.Neighbors(v), out)
 		}
 	}
 	return out

@@ -212,8 +212,8 @@ func IsSortedUint64(keys []uint64) bool {
 }
 
 // MedianOfInt32 returns the lower median of values (the ⌈k/2⌉-smallest for
-// k values) without fully sorting, via counting over the value range when
-// narrow or quickselect otherwise. Used by ADG-M (§V-D).
+// k values) without fully sorting: quickselect on a copy, so values is
+// left as it was. Used by ADG-M (§V-D).
 func MedianOfInt32(values []int32) int32 {
 	n := len(values)
 	if n == 0 {

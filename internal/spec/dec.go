@@ -148,34 +148,3 @@ func SIMCOL(g *graph.Graph, mu float64, opts Options) *Result {
 	res.finish()
 	return res
 }
-
-// DECQualityBound returns the provable color bound for the DEC variants
-// (Claim 2 and §IV-C): given degeneracy d and the run's ε.
-func DECQualityBound(name string, d int, eps float64) int {
-	if eps <= 0 {
-		eps = 0.5
-	}
-	switch name {
-	case "DEC-ADG":
-		// ⌈(1+ε/4)·2(1+ε/12)·d⌉ + 1, which is ≤ (2+ε)d + 1 for ε ≤ 8.
-		return ceilF((1+eps/4)*2*(1+eps/12)*float64(d)) + 1
-	case "DEC-ADG-M":
-		// Median ordering doubles the partition degree bound: 4d instead
-		// of 2(1+ε/12)d.
-		return ceilF((1+eps/4)*4*float64(d)) + 1
-	case "DEC-ADG-ITR":
-		// Smallest-available rule: colors stay within deg_ℓ(v)+1 ≤
-		// ⌈2(1+ε/12)d⌉+1.
-		return ceilF(2*(1+eps/12)*float64(d)) + 1
-	default:
-		return 1 << 30
-	}
-}
-
-func ceilF(v float64) int {
-	i := int(v)
-	if float64(i) < v {
-		i++
-	}
-	return i
-}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/mex"
 	"repro/internal/par"
 	"repro/internal/xrand"
 )
@@ -47,11 +48,7 @@ func itrColor(g *graph.Graph, opts Options, batch int) *Result {
 	for i := range u {
 		u[i] = uint32(i)
 	}
-	maxDeg := g.MaxDegree()
-	states := make([]*greedyScratch, p)
-	for w := range states {
-		states[w] = newGreedyScratch(maxDeg)
-	}
+	states := newWorkers(g, p)
 	for len(u) > 0 {
 		res.Rounds++
 		// Tentative coloring, batch by batch (ITR: a single batch).
@@ -72,7 +69,7 @@ func itrColor(g *graph.Graph, opts Options, batch int) *Result {
 				st := states[w]
 				for i := blo; i < bhi; i++ {
 					v := u[lo+i]
-					tmp[v] = st.smallestFree(g, v, colors)
+					tmp[v] = st.mex.Greedy(g.Neighbors(v), colors)
 					st.edges += int64(g.Degree(v))
 				}
 			})
@@ -121,11 +118,7 @@ func GM(g *graph.Graph, opts Options) *Result {
 	}
 	prio := xrand.New(opts.Seed).Perm(n, nil)
 	colors := res.Colors
-	maxDeg := g.MaxDegree()
-	states := make([]*greedyScratch, p)
-	for w := range states {
-		states[w] = newGreedyScratch(maxDeg)
-	}
+	states := newWorkers(g, p)
 	// Phase 1: concurrent block-wise greedy. The cross-block races the
 	// original algorithm tolerates are expressed with atomic loads/stores
 	// so the speculation is data-race-free at the memory-model level
@@ -133,8 +126,11 @@ func GM(g *graph.Graph, opts Options) *Result {
 	par.ForWorkers(p, n, func(w, lo, hi int) {
 		st := states[w]
 		for v := lo; v < hi; v++ {
-			c := st.smallestFreeAtomic(g, uint32(v), colors)
-			atomic.StoreUint32(&colors[v], c)
+			st.mex.Reset()
+			for _, nb := range g.Neighbors(uint32(v)) {
+				st.mex.Forbid(atomic.LoadUint32(&colors[nb]))
+			}
+			atomic.StoreUint32(&colors[v], st.mex.Smallest())
 			st.edges += int64(g.Degree(uint32(v)))
 		}
 	})
@@ -158,7 +154,7 @@ func GM(g *graph.Graph, opts Options) *Result {
 			colors[v] = 0
 		}
 		for _, v := range lose {
-			colors[v] = st.smallestFree(g, v, colors)
+			colors[v] = st.mex.Greedy(g.Neighbors(v), colors)
 			st.edges += int64(g.Degree(v))
 		}
 	}
@@ -169,48 +165,18 @@ func GM(g *graph.Graph, opts Options) *Result {
 	return res
 }
 
-// greedyScratch finds the smallest color absent from a vertex's
-// neighborhood using an epoch-stamped array (no clearing between calls).
-type greedyScratch struct {
-	stamp []uint64
-	epoch uint64
+// worker is one worker's forbidden-color set and its count of
+// adjacency words read.
+type worker struct {
+	mex   mex.Set
 	edges int64
 }
 
-func newGreedyScratch(maxDeg int) *greedyScratch {
-	return &greedyScratch{stamp: make([]uint64, maxDeg+2)}
-}
-
-// smallestFree returns the smallest color >= 1 not present among v's
-// neighbors in colors (0 entries = uncolored, ignored).
-func (st *greedyScratch) smallestFree(g *graph.Graph, v uint32, colors []uint32) uint32 {
-	st.epoch++
-	deg := g.Degree(v)
-	for _, nb := range g.Neighbors(v) {
-		if c := colors[nb]; c != 0 && int(c) <= deg+1 {
-			st.stamp[c] = st.epoch
-		}
+func newWorkers(g *graph.Graph, p int) []*worker {
+	maxDeg := g.MaxDegree()
+	states := make([]*worker, p)
+	for w := range states {
+		states[w] = &worker{mex: mex.New(maxDeg)}
 	}
-	c := uint32(1)
-	for st.stamp[c] == st.epoch {
-		c++
-	}
-	return c
-}
-
-// smallestFreeAtomic is smallestFree with atomic neighbor reads, for use
-// while other workers are concurrently storing colors (GM phase 1).
-func (st *greedyScratch) smallestFreeAtomic(g *graph.Graph, v uint32, colors []uint32) uint32 {
-	st.epoch++
-	deg := g.Degree(v)
-	for _, nb := range g.Neighbors(v) {
-		if c := atomic.LoadUint32(&colors[nb]); c != 0 && int(c) <= deg+1 {
-			st.stamp[c] = st.epoch
-		}
-	}
-	c := uint32(1)
-	for st.stamp[c] == st.epoch {
-		c++
-	}
-	return c
+	return states
 }

@@ -86,7 +86,7 @@ func TestDECQualityBounds(t *testing.T) {
 		}
 		for _, a := range algos()[:3] { // the three DEC variants
 			res := a.run(g, Options{Procs: 2, Seed: 11, Epsilon: eps})
-			bound := DECQualityBound(a.name, d, eps)
+			bound := verify.QualityBound(a.name, g, d, eps)
 			if err := verify.AssertBound(a.name, res.NumColors, bound); err != nil {
 				t.Errorf("%s: %v (d=%d)", gname, err, d)
 			}
@@ -110,7 +110,7 @@ func TestDECADGITRSmallEpsilonQuality(t *testing.T) {
 			continue
 		}
 		res := DECADGITR(g, Options{Procs: 2, Seed: 7, Epsilon: 0.01})
-		bound := DECQualityBound("DEC-ADG-ITR", d, 0.01)
+		bound := verify.QualityBound("DEC-ADG-ITR", g, d, 0.01)
 		if err := verify.AssertBound("DEC-ADG-ITR", res.NumColors, bound); err != nil {
 			t.Errorf("%s: %v (d=%d)", gname, err, d)
 		}

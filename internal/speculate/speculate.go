@@ -57,6 +57,7 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/jp"
+	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/par"
 	"repro/internal/verify"
@@ -283,14 +284,11 @@ func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, o
 		chunkOf[v] = uint32(int64(i) * int64(chunks) / int64(n))
 	})
 
-	maxColor := g.MaxDegree() + 1
-	type workerState struct {
-		stamp []uint64
-		epoch uint64
-	}
-	states := make([]*workerState, p)
+	maxDeg := g.MaxDegree()
+	states := make([]*mex.Set, p)
 	for w := range states {
-		states[w] = &workerState{stamp: make([]uint64, maxColor+2)}
+		st := mex.New(maxDeg)
+		states[w] = &st
 	}
 	wscratch := make([]int64, n+1)
 	chunkLo := func(c int) int {
@@ -311,19 +309,13 @@ func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, o
 				st := states[w]
 				for i := lo; i < hi; i++ {
 					v := chunk[i]
-					st.epoch++
+					st.Reset()
 					for _, u := range g.Neighbors(v) {
 						if chunkOf[u] != cc {
-							if cu := colors[u]; cu != 0 && int(cu) < len(st.stamp) {
-								st.stamp[cu] = st.epoch
-							}
+							st.Forbid(colors[u])
 						}
 					}
-					nc := uint32(1)
-					for st.stamp[nc] == st.epoch {
-						nc++
-					}
-					colors[v] = nc
+					colors[v] = st.Smallest()
 				}
 			})
 

@@ -139,3 +139,63 @@ func AssertBound(name string, used, bound int) error {
 // GreedyBound is the trivial Δ+1 guarantee shared by every Greedy/JP
 // scheme (Table III).
 func GreedyBound(g *graph.Graph) int { return g.MaxDegree() + 1 }
+
+// degeneracyBounds is Table III's degeneracy-based guarantees: the color
+// bound of each scheme that has one, given the degeneracy d and the ε
+// its run uses. ADG clamps ε < 0 to 0. The -O names are the JP-ADG
+// variants under the sorted ADG-O orderings, whose bounds are the same.
+var degeneracyBounds = map[string]func(d int, eps float64) int{
+	// An exact degeneracy order.
+	"JP-SL": func(d int, _ float64) int { return d + 1 },
+	// Corollary 1.
+	"JP-ADG":   func(d int, eps float64) int { return ceilMul(2*(1+max(eps, 0)), d) + 1 },
+	"JP-ADG-O": func(d int, eps float64) int { return ceilMul(2*(1+max(eps, 0)), d) + 1 },
+	// Corollary 2.
+	"JP-ADG-M":   func(d int, _ float64) int { return 4*d + 1 },
+	"JP-ADG-M-O": func(d int, _ float64) int { return 4*d + 1 },
+	// Claim 2: ⌈(1+ε/4)·2(1+ε/12)·d⌉+1, at most (2+ε)d+1 for ε ≤ 8.
+	"DEC-ADG": func(d int, eps float64) int {
+		eps = decEpsilon(eps)
+		return ceilMul((1+eps/4)*2*(1+eps/12), d) + 1
+	},
+	// The median decomposition doubles the partition degree bound: 4d
+	// instead of 2(1+ε/12)d.
+	"DEC-ADG-M": func(d int, eps float64) int {
+		eps = decEpsilon(eps)
+		return ceilMul((1+eps/4)*4, d) + 1
+	},
+	// §IV-C: the smallest-available rule keeps colors within
+	// deg_ℓ(v)+1 ≤ ⌈2(1+ε/12)d⌉+1.
+	"DEC-ADG-ITR": func(d int, eps float64) int {
+		return ceilMul(2*(1+decEpsilon(eps)/12), d) + 1
+	},
+}
+
+// QualityBound returns the color-count guarantee of the named algorithm
+// (Table III) for a run with ε eps on g, whose degeneracy is d: the
+// degeneracy-based bound where the scheme has one, the trivial Δ+1
+// otherwise. ε is normalized the way the run normalizes it.
+func QualityBound(name string, g *graph.Graph, d int, eps float64) int {
+	if b, ok := degeneracyBounds[name]; ok {
+		return b(d, eps)
+	}
+	return GreedyBound(g)
+}
+
+// decEpsilon is the ε a DEC-ADG run uses: values ≤ 0 select 0.5.
+func decEpsilon(eps float64) float64 {
+	if eps <= 0 {
+		return 0.5
+	}
+	return eps
+}
+
+// ceilMul returns ⌈f·d⌉.
+func ceilMul(f float64, d int) int {
+	v := f * float64(d)
+	i := int(v)
+	if float64(i) < v {
+		i++
+	}
+	return i
+}

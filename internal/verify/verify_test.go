@@ -143,3 +143,37 @@ func TestGreedyBound(t *testing.T) {
 		t.Fatalf("Δ+1=%d want 10", GreedyBound(g))
 	}
 }
+
+// TestQualityBoundTable checks Table III's bounds at d = 10 on a star
+// with Δ = 12, including the ε normalization: ADG clamps ε < 0 to 0 and
+// the DEC family runs ε ≤ 0 as 0.5.
+func TestQualityBoundTable(t *testing.T) {
+	g, err := gen.Star(13, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		eps  float64
+		want int
+	}{
+		{"JP-SL", 0.01, 11},
+		{"JP-ADG", 0.01, 22},   // ⌈20.2⌉+1
+		{"JP-ADG-O", 0.5, 31},  // 30 exactly: no spurious round-up
+		{"JP-ADG", -1, 21},     // clamped to ε = 0
+		{"JP-ADG-M", 0.01, 41}, // 4d+1 whatever ε
+		{"JP-ADG-M-O", 7, 41},
+		{"DEC-ADG", 0.01, 22},     // ⌈1.0025·2·1.000833·10⌉+1
+		{"DEC-ADG", 0, 25},        // ε = 0.5: ⌈23.4375⌉+1
+		{"DEC-ADG-M", 0.01, 42},   // ⌈40.1⌉+1
+		{"DEC-ADG-M", -2, 46},     // ε = 0.5: 45 exactly, +1
+		{"DEC-ADG-ITR", 0.01, 22}, // ⌈20.0167⌉+1
+		{"DEC-ADG-ITR", 0, 22},    // ε = 0.5: ⌈20.833⌉+1
+		{"JP-FF", 0.01, 13},       // no degeneracy bound: Δ+1
+		{"unknown", 0.01, 13},
+	} {
+		if got := QualityBound(c.name, g, 10, c.eps); got != c.want {
+			t.Errorf("QualityBound(%s, d=10, ε=%v) = %d, want %d", c.name, c.eps, got, c.want)
+		}
+	}
+}

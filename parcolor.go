@@ -218,7 +218,7 @@ func QualityBound(g *Graph, algorithm string, eps float64) (int, error) {
 	if _, err := harness.Lookup(algorithm); err != nil {
 		return 0, err
 	}
-	return harness.QualityBound(algorithm, g, kcore.Degeneracy(g), epsilon(eps)), nil
+	return verify.QualityBound(algorithm, g, kcore.Degeneracy(g), epsilon(eps)), nil
 }
 
 // Stats summarizes a graph (n, m, degree extremes).

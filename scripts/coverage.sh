@@ -12,11 +12,11 @@ PKGS="repro/internal/graph repro/internal/jp repro/internal/order \
       repro/internal/store repro/internal/cluster \
       repro/internal/faultinject repro/internal/retry \
       repro/internal/gen repro/internal/speculate repro/internal/obs \
-      repro/internal/recolor repro/internal/quality"
+      repro/internal/recolor repro/internal/quality repro/internal/mex"
 # Every package above must print a coverage line: a package that loses
 # its tests reports "[no test files]" instead, which must fail the
 # gate, not slip past it.
-EXPECTED=15
+EXPECTED=16
 
 summary="$(mktemp)"
 trap 'rm -f "$summary"' EXIT
