@@ -29,10 +29,10 @@ flake:
 	go test -race -count=20 ./internal/service/ ./internal/store/ ./internal/cluster/
 
 bench:
-	go test -run '^$$' -bench 'BenchmarkTable2Orderings|BenchmarkJP' -benchtime 3x .
+	go test -run '^$$' -bench 'BenchmarkExperiments/table2|BenchmarkJP' -benchtime 3x .
 
 json:
-	go run ./cmd/colorbench -json BENCH_local.json
+	go run ./cmd/colorbench -matrix BENCH_local.json
 
 # loadtest starts colord, drives it with colorload (>= 8 concurrent
 # clients, >= 200 requests against a scale-12 Kronecker graph, 20% of

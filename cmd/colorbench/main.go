@@ -8,10 +8,11 @@
 //	           [-trials 3] [-seed 42]
 //	colorbench -experiment all    # run everything
 //	colorbench -list              # list experiments
-//	colorbench -json out.json     # machine-readable per-algorithm records
-//	                              # on the shared benchmark Kronecker graph
 //	colorbench -matrix out.json   # family × algorithm × worker-count sweep
 //	           [-algos JP-ADG,SPEC-ADG] [-plist 1,2,4]
+//
+// -matrix writes one harness.Record per cell as a JSON list; each cell
+// keeps the median-time run of -trials.
 package main
 
 import (
@@ -33,10 +34,9 @@ func main() {
 		scale      = flag.Int("scale", 1, "suite size multiplier")
 		procs      = flag.Int("procs", 2, "worker count")
 		eps        = flag.Float64("eps", 0.01, "ADG epsilon")
-		trials     = flag.Int("trials", 3, "timed repetitions per point")
+		trials     = flag.Int("trials", 3, "timed repetitions per point; the median-time one is reported")
 		seed       = flag.Uint64("seed", 42, "random seed")
-		jsonOut    = flag.String("json", "", "write per-algorithm {schemaVersion, name, seconds, colors, rounds, edgesScanned, forks, seqCutoffHits, p, goMaxProcs} records to this file")
-		matrixOut  = flag.String("matrix", "", "write the family × algorithm × worker-count sweep over the dataset suite to this file")
+		matrixOut  = flag.String("matrix", "", "write the family × algorithm × worker-count sweep over the dataset suite to this file, one record per cell")
 		algosFlag  = flag.String("algos", "", "comma-separated algorithm names for -matrix (default: whole registry)")
 		plistFlag  = flag.String("plist", "", "comma-separated worker counts for -matrix (default: 1,2,4; -procs is ignored by the matrix)")
 	)
@@ -63,27 +63,6 @@ func main() {
 		Epsilon: *eps,
 		Trials:  *trials,
 		Seed:    *seed,
-	}
-	if *jsonOut != "" {
-		records, err := harness.JSONReport(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "colorbench: json report: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "colorbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "colorbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d algorithm records to %s\n", len(records), *jsonOut)
-		if *experiment == "" {
-			return
-		}
 	}
 	if *matrixOut != "" {
 		var algos []string
@@ -122,7 +101,7 @@ func main() {
 		}
 	}
 	if *experiment == "" {
-		fmt.Fprintln(os.Stderr, "colorbench: -experiment required (or -list, -json or -matrix)")
+		fmt.Fprintln(os.Stderr, "colorbench: -experiment required (or -list or -matrix)")
 		os.Exit(2)
 	}
 	run := func(name string) {

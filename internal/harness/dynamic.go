@@ -17,8 +17,8 @@ import (
 // localized incremental repair is compared against recoloring the
 // whole snapshot from scratch with JP-ADG. Reported per batch size:
 // the conflict frontier, the repaired-vertices fraction, mean repair
-// latency vs. full-recolor latency (and their ratio), fallback count
-// and the maintained color count.
+// latency vs. the median full-recolor latency (and their ratio),
+// fallback count and the maintained color count.
 func DynamicRepair(o Options) (string, error) {
 	o = o.withDefaults()
 	scale := 10 + o.Scale
@@ -27,7 +27,7 @@ func DynamicRepair(o Options) (string, error) {
 		return "", err
 	}
 	n := g.NumVertices()
-	jpadg, err := Lookup("JP-ADG")
+	jpadg, err := lookupAll("JP-ADG")
 	if err != nil {
 		return "", err
 	}
@@ -73,15 +73,11 @@ func DynamicRepair(o Options) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		fullSecs := 0.0
-		for trial := 0; trial < o.Trials; trial++ {
-			res, err := RunChecked(jpadg, snap, o.cfg())
-			if err != nil {
-				return "", err
-			}
-			fullSecs += res.TotalSeconds()
+		full, err := Sweep(single("snapshot", snap), jpadg, []Config{o.cfg()}, o.Trials)
+		if err != nil {
+			return "", err
 		}
-		fullSecs /= float64(o.Trials)
+		fullSecs := full[0].Seconds
 		meanRepair := repairSecs / float64(batches)
 		speedup := 0.0
 		if meanRepair > 0 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/kcore"
 	"repro/internal/order"
 	"repro/internal/stats"
-	"repro/internal/verify"
 )
 
 // Options configures an experiment run.
@@ -22,7 +22,9 @@ type Options struct {
 	Seed uint64
 	// Epsilon is ADG's ε (the paper's Fig. 1 parametrization is 0.01).
 	Epsilon float64
-	// Trials is the number of timed repetitions per point.
+	// Trials is the number of timed repetitions per point. Sweep keeps
+	// the median-time run of an algorithm cell; table2 and ablation,
+	// which time orderings, print the mean.
 	Trials int
 }
 
@@ -47,6 +49,16 @@ func (o Options) withDefaults() Options {
 
 func (o Options) cfg() Config {
 	return Config{Procs: o.Procs, Seed: o.Seed, Epsilon: o.Epsilon}
+}
+
+// procsConfigs returns o's run config once per worker count.
+func (o Options) procsConfigs(procs ...int) []Config {
+	out := make([]Config, len(procs))
+	for i, p := range procs {
+		out[i] = o.cfg()
+		out[i].Procs = p
+	}
+	return out
 }
 
 // SuiteTable regenerates the Table V stand-in: the dataset inventory with
@@ -124,20 +136,20 @@ func TableIII(o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	algos := Registry()
+	recs, err := Sweep(suite, algos, []Config{o.cfg()}, o.Trials)
+	if err != nil {
+		return "", err
+	}
 	t := &stats.Table{Header: []string{"algorithm", "class", "graph", "colors", "bound", "ok", "time[s]"}}
-	for _, a := range Registry() {
-		for _, bg := range suite {
-			res, err := RunChecked(a, bg.G, o.cfg())
-			if err != nil {
-				return "", err
-			}
-			d := kcore.Degeneracy(bg.G)
-			bound := verify.QualityBound(a.Name, bg.G, d, o.Epsilon)
+	for ai, a := range algos {
+		for gi := range suite {
+			r := recs[gi*len(algos)+ai]
 			ok := "yes"
-			if res.NumColors > bound {
+			if !r.BoundOK {
 				ok = "VIOLATED"
 			}
-			t.Add(a.Name, string(a.Class), bg.Name, res.NumColors, bound, ok, res.TotalSeconds())
+			t.Add(a.Name, string(a.Class), r.Graph, r.Colors, r.Bound, ok, r.Seconds)
 		}
 	}
 	return "Table III stand-in: measured algorithm matrix\n" + t.String(), nil
@@ -152,36 +164,24 @@ func Figure1(o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	algos := figure1Algorithms()
+	recs, err := Sweep(suite, algos, []Config{o.cfg()}, o.Trials)
+	if err != nil {
+		return "", err
+	}
+	// JP-R is the quality baseline of the relative-quality panels.
+	base := slices.IndexFunc(algos, func(a Algorithm) bool { return a.Name == "JP-R" })
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 stand-in: run-times and coloring quality (procs=%d, eps=%.2f, %d trials)\n",
 		o.Procs, o.Epsilon, o.Trials)
-	algos := figure1Algorithms()
-	for _, bg := range suite {
-		// JP-R is the quality baseline of the relative-quality panels.
-		baseAlgo, err := Lookup("JP-R")
-		if err != nil {
-			return "", err
-		}
-		base, err := RunChecked(baseAlgo, bg.G, o.cfg())
-		if err != nil {
-			return "", err
-		}
+	for gi, bg := range suite {
+		row := recs[gi*len(algos):][:len(algos)]
 		fmt.Fprintf(&b, "\n## %s (n=%d m=%d)\n", bg.Name, bg.G.NumVertices(), bg.G.NumEdges())
 		t := &stats.Table{Header: []string{"algorithm", "class", "reorder[s]", "color[s]", "total[s]", "colors", "vs JP-R"}}
-		for _, a := range algos {
-			var res *RunResult
-			samples := stats.Bench(1, o.Trials, func() {
-				r, err2 := RunChecked(a, bg.G, o.cfg())
-				if err2 != nil {
-					panic(err2)
-				}
-				res = r
-			})
-			s := stats.Summarize(samples)
-			_ = s
-			rel := float64(res.NumColors) / float64(base.NumColors)
-			t.Add(a.Name, string(a.Class), res.ReorderSeconds, res.ColorSeconds,
-				res.TotalSeconds(), res.NumColors, rel)
+		for ai, a := range algos {
+			r := row[ai]
+			t.Add(a.Name, string(a.Class), r.ReorderSeconds, r.ColorSeconds,
+				r.Seconds, r.Colors, float64(r.Colors)/float64(row[base].Colors))
 		}
 		b.WriteString(t.String())
 	}
@@ -201,7 +201,7 @@ func figure1Algorithms() []Algorithm {
 		}
 		out = append(out, a)
 	}
-	// SC class first, then JP, matching the figure layout.
+	// Grouped by class (JP before SC), matching the figure's panels.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
 }
@@ -211,32 +211,27 @@ func figure1Algorithms() []Algorithm {
 // growing worker count; ideal weak scaling keeps the time flat.
 func Figure2Weak(o Options) (string, error) {
 	o = o.withDefaults()
+	algs, err := lookupAll("JP-ADG", "DEC-ADG-ITR", "JP-LLF", "JP-R", "ITR")
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2 stand-in (weak scaling): Kronecker scale=%d, eps=%.2f\n", 13+log2i(o.Scale), o.Epsilon)
 	t := &stats.Table{Header: []string{"edges/vertex + procs", "algorithm", "time[s]", "colors"}}
-	algs := []string{"JP-ADG", "DEC-ADG-ITR", "JP-LLF", "JP-R", "ITR"}
 	points := []struct{ ef, procs int }{{1, 1}, {2, 2}, {4, 4}, {8, 8}}
 	for _, pt := range points {
 		g, err := gen.Kronecker(13+log2i(o.Scale), pt.ef, o.Seed, 0)
 		if err != nil {
 			return "", err
 		}
-		for _, name := range algs {
-			a, err := Lookup(name)
-			if err != nil {
-				return "", err
-			}
-			cfg := Config{Procs: pt.procs, Seed: o.Seed, Epsilon: o.Epsilon}
-			var res *RunResult
-			samples := stats.Bench(1, o.Trials, func() {
-				r, err2 := RunChecked(a, g, cfg)
-				if err2 != nil {
-					panic(err2)
-				}
-				res = r
-			})
-			s := stats.Summarize(samples)
-			t.Add(fmt.Sprintf("%d+%d", pt.ef, pt.procs), name, s.Mean, res.NumColors)
+		point := fmt.Sprintf("%d+%d", pt.ef, pt.procs)
+		cfg := Config{Procs: pt.procs, Seed: o.Seed, Epsilon: o.Epsilon}
+		recs, err := Sweep(single(fmt.Sprintf("kron-ef%d", pt.ef), g), algs, []Config{cfg}, o.Trials)
+		if err != nil {
+			return "", err
+		}
+		for _, r := range recs {
+			t.Add(point, r.Name, r.Seconds, r.Colors)
 		}
 	}
 	b.WriteString(t.String())
@@ -252,35 +247,25 @@ func Figure2Strong(o Options) (string, error) {
 		return "", err
 	}
 	// Two graphs, one heavy-tailed and one flat, like h-bai and s-pok.
-	var picks []BuiltGraph
-	for _, bg := range suite {
-		if bg.Name == "kron-social" || bg.Name == "er-uniform" {
-			picks = append(picks, bg)
-		}
+	picks := pick(suite, "kron-social", "er-uniform")
+	algs, err := lookupAll("JP-ADG", "DEC-ADG-ITR", "JP-LLF", "JP-R", "JP-SL", "ITR")
+	if err != nil {
+		return "", err
 	}
-	algs := []string{"JP-ADG", "DEC-ADG-ITR", "JP-LLF", "JP-R", "JP-SL", "ITR"}
+	cfgs := o.procsConfigs(1, 2, 4)
+	recs, err := Sweep(picks, algs, cfgs, o.Trials)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2 stand-in (strong scaling): procs in {1,2,4}, eps=%.2f\n", o.Epsilon)
 	for _, bg := range picks {
 		fmt.Fprintf(&b, "\n## %s (n=%d m=%d)\n", bg.Name, bg.G.NumVertices(), bg.G.NumEdges())
 		t := &stats.Table{Header: []string{"algorithm", "p=1[s]", "p=2[s]", "p=4[s]", "speedup p=2", "speedup p=4"}}
-		for _, name := range algs {
-			a, err := Lookup(name)
-			if err != nil {
-				return "", err
-			}
-			times := map[int]float64{}
-			for _, p := range []int{1, 2, 4} {
-				cfg := Config{Procs: p, Seed: o.Seed, Epsilon: o.Epsilon}
-				samples := stats.Bench(1, o.Trials, func() {
-					if _, err2 := RunChecked(a, bg.G, cfg); err2 != nil {
-						panic(err2)
-					}
-				})
-				times[p] = stats.Summarize(samples).Mean
-			}
-			t.Add(name, times[1], times[2], times[4],
-				stats.Speedup(times[1], times[2]), stats.Speedup(times[1], times[4]))
+		for _, a := range algs {
+			p1, p2, p4 := recs[0].Seconds, recs[1].Seconds, recs[2].Seconds
+			recs = recs[len(cfgs):]
+			t.Add(a.Name, p1, p2, p4, stats.Speedup(p1, p2), stats.Speedup(p1, p4))
 		}
 		b.WriteString(t.String())
 	}
@@ -296,35 +281,29 @@ func Figure3Epsilon(o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var picks []BuiltGraph
-	for _, bg := range suite {
-		if bg.Name == "kron-web" || bg.Name == "grid-road" {
-			picks = append(picks, bg)
-		}
+	picks := pick(suite, "kron-web", "grid-road")
+	algs, err := lookupAll("JP-ADG", "DEC-ADG-ITR")
+	if err != nil {
+		return "", err
 	}
 	epss := []float64{0.01, 0.1, 1.0}
+	var cfgs []Config
+	for _, eps := range epss {
+		cfgs = append(cfgs, Config{Procs: o.Procs, Seed: o.Seed, Epsilon: eps})
+	}
+	recs, err := Sweep(picks, algs, cfgs, o.Trials)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Figure 3 stand-in: impact of epsilon on runtime and quality\n")
-	for _, bg := range picks {
+	for gi, bg := range picks {
 		fmt.Fprintf(&b, "\n## %s (n=%d m=%d)\n", bg.Name, bg.G.NumVertices(), bg.G.NumEdges())
 		t := &stats.Table{Header: []string{"epsilon", "algorithm", "full time[s]", "colors", "ADG rounds", "color rounds"}}
-		for _, eps := range epss {
-			for _, name := range []string{"JP-ADG", "DEC-ADG-ITR"} {
-				a, err := Lookup(name)
-				if err != nil {
-					return "", err
-				}
-				cfg := Config{Procs: o.Procs, Seed: o.Seed, Epsilon: eps}
-				var res *RunResult
-				samples := stats.Bench(1, o.Trials, func() {
-					r, err2 := RunChecked(a, bg.G, cfg)
-					if err2 != nil {
-						panic(err2)
-					}
-					res = r
-				})
-				s := stats.Summarize(samples)
-				t.Add(stats.FormatFloat(eps), name, s.Mean, res.NumColors, res.OrderIterations, res.Rounds)
+		for ei, eps := range epss {
+			for ai := range algs {
+				r := recs[(gi*len(algs)+ai)*len(epss)+ei]
+				t.Add(stats.FormatFloat(eps), r.Name, r.Seconds, r.Colors, r.OrderIterations, r.Rounds)
 			}
 		}
 		b.WriteString(t.String())
@@ -332,13 +311,30 @@ func Figure3Epsilon(o Options) (string, error) {
 	return b.String(), nil
 }
 
+// pick returns the suite graphs with the given names, in suite order.
+func pick(suite []BuiltGraph, names ...string) []BuiltGraph {
+	var out []BuiltGraph
+	for _, bg := range suite {
+		if slices.Contains(names, bg.Name) {
+			out = append(out, bg)
+		}
+	}
+	return out
+}
+
 // Figure4Memory regenerates Fig. 4 (experiment E7) with software proxies
 // replacing PAPI hardware counters (see EXPERIMENTS.md): atomic operations and
 // adjacency words scanned per edge, plus speculative conflict counts.
-// Lower values mean less memory-bus pressure.
+// Lower values mean less memory-bus pressure. It prints no time, so one
+// trial per algorithm suffices.
 func Figure4Memory(o Options) (string, error) {
 	o = o.withDefaults()
 	g, err := gen.Kronecker(13+log2i(o.Scale), 8, o.Seed, 0)
+	if err != nil {
+		return "", err
+	}
+	algos := figure1Algorithms()
+	recs, err := Sweep(single("kron", g), algos, []Config{o.cfg()}, 1)
 	if err != nil {
 		return "", err
 	}
@@ -346,39 +342,34 @@ func Figure4Memory(o Options) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 4 stand-in: memory-pressure proxies (software counters replace PAPI)\n")
 	t := &stats.Table{Header: []string{"algorithm", "class", "edges-scanned/m", "atomics/m", "conflicts/n", "rounds"}}
-	for _, a := range figure1Algorithms() {
-		res, err := RunChecked(a, g, o.cfg())
-		if err != nil {
-			return "", err
-		}
+	for i, a := range algos {
+		r := recs[i]
 		t.Add(a.Name, string(a.Class),
-			float64(res.EdgesScanned)/m,
-			float64(res.AtomicOps)/m,
-			float64(res.Conflicts)/float64(g.NumVertices()),
-			res.Rounds)
+			float64(r.EdgesScanned)/m,
+			float64(r.AtomicOps)/m,
+			float64(r.Conflicts)/float64(r.Vertices),
+			r.Rounds)
 	}
 	b.WriteString(t.String())
 	return b.String(), nil
 }
 
 // Figure5Profile regenerates Fig. 5 (experiment E8): the Dolan–Moré
-// performance profile of coloring quality across the suite.
+// performance profile of coloring quality across the suite. It prints
+// no time, so one trial per cell suffices.
 func Figure5Profile(o Options) (string, error) {
 	o = o.withDefaults()
 	suite, err := BuildSuite(o.Scale)
 	if err != nil {
 		return "", err
 	}
-	algos := figure1Algorithms()
+	recs, err := Sweep(suite, figure1Algorithms(), []Config{o.cfg()}, 1)
+	if err != nil {
+		return "", err
+	}
 	results := map[string][]float64{}
-	for _, a := range algos {
-		for _, bg := range suite {
-			res, err := RunChecked(a, bg.G, o.cfg())
-			if err != nil {
-				return "", err
-			}
-			results[a.Name] = append(results[a.Name], float64(res.NumColors))
-		}
+	for _, r := range recs {
+		results[r.Name] = append(results[r.Name], float64(r.Colors))
 	}
 	profiles, err := stats.PerfProfile(results)
 	if err != nil {
@@ -417,24 +408,4 @@ func Experiments() map[string]func(Options) (string, error) {
 		"ablation":   Ablation,
 		"dynamic":    DynamicRepair,
 	}
-}
-
-// VerifyAll runs every registered algorithm on a small graph and checks
-// the colorings — a one-call smoke test used by cmd tools and CI-style
-// checks.
-func VerifyAll(seed uint64) error {
-	g, err := gen.ErdosRenyiGNM(500, 2500, seed, 0)
-	if err != nil {
-		return err
-	}
-	for _, a := range Registry() {
-		res, err := RunChecked(a, g, Config{Procs: 2, Seed: seed, Epsilon: 0.1})
-		if err != nil {
-			return err
-		}
-		if res.NumColors == 0 || !verify.IsProper(g, res.Colors, 2) {
-			return fmt.Errorf("harness: %s produced an invalid coloring", a.Name)
-		}
-	}
-	return nil
 }

@@ -2,7 +2,9 @@
 // it registers every implemented coloring algorithm behind a uniform
 // interface with the reordering/coloring phase split of Fig. 1, builds the
 // synthetic dataset suite standing in for Table V, and regenerates each
-// table and figure (see EXPERIMENTS.md's experiment index E1–E9).
+// table and figure (see EXPERIMENTS.md's experiment index E1–E9). Every
+// algorithm × graph × setting cell an experiment reports runs through
+// Sweep, which verifies, times and bound-checks it into one Record.
 package harness
 
 import (
@@ -14,7 +16,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/greedy"
 	"repro/internal/jp"
-	"repro/internal/kcore"
 	"repro/internal/mis"
 	"repro/internal/order"
 	"repro/internal/par"
@@ -111,9 +112,12 @@ type Algorithm struct {
 	// scheduling (what lets a serving layer cache results by
 	// (graph, algorithm, seed, epsilon) alone). All algorithms always
 	// produce proper colorings; the ones with Deterministic=false
-	// (JP-ASL's shared removal counter, ITR/ITRB/GM's racy speculative
-	// reads, ITRB's Procs-sized batches) may produce different — still
-	// proper — colorings across runs or worker counts.
+	// (JP-ASL's shared removal counter, GM's racy speculative reads,
+	// ITRB's Procs-sized batches) may produce different — still
+	// proper — colorings across runs or worker counts. The cross-p
+	// tests of internal/jp, internal/spec and internal/speculate pin the
+	// property per engine, and the proptest matrix pins it for every
+	// entry flagged here at p ∈ {1, 2, 8}.
 	Deterministic bool
 	Run           func(g *graph.Graph, cfg Config) (*RunResult, error)
 }
@@ -142,10 +146,11 @@ func withPoolStats(run func(g *graph.Graph, cfg Config) (*RunResult, error)) fun
 	}
 }
 
-func jpAlgo(name string, mkOrder func(g *graph.Graph, cfg Config) (*order.Ordering, error)) Algorithm {
+func jpAlgo(name string, deterministic bool, mkOrder func(g *graph.Graph, cfg Config) (*order.Ordering, error)) Algorithm {
 	return Algorithm{
-		Name:  name,
-		Class: ClassJP,
+		Name:          name,
+		Class:         ClassJP,
+		Deterministic: deterministic,
 		Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 			res := &RunResult{}
 			var ord *order.Ordering
@@ -172,10 +177,11 @@ func jpAlgo(name string, mkOrder func(g *graph.Graph, cfg Config) (*order.Orderi
 	}
 }
 
-func specAlgo(name string, run func(g *graph.Graph, cfg Config) *spec.Result) Algorithm {
+func specAlgo(name string, deterministic bool, run func(g *graph.Graph, cfg Config) *spec.Result) Algorithm {
 	return Algorithm{
-		Name:  name,
-		Class: ClassSC,
+		Name:          name,
+		Class:         ClassSC,
+		Deterministic: deterministic,
 		Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 			// The ITR/ITRB/GM inner loops have no preemption points yet;
 			// honor a cancelled or already-expired context before
@@ -198,10 +204,12 @@ func specAlgo(name string, run func(g *graph.Graph, cfg Config) *spec.Result) Al
 	}
 }
 
+// decAlgo registers a DEC variant; every one is deterministic.
 func decAlgo(name string, median, itrRule bool) Algorithm {
 	return Algorithm{
-		Name:  name,
-		Class: ClassSC,
+		Name:          name,
+		Class:         ClassSC,
+		Deterministic: true,
 		Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 			ctx := cfg.ctx()
 			opts := spec.Options{Procs: cfg.Procs, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
@@ -230,10 +238,13 @@ func decAlgo(name string, median, itrRule bool) Algorithm {
 	}
 }
 
+// seqAlgo registers a sequential Greedy yardstick, deterministic by
+// construction.
 func seqAlgo(name string, run func(g *graph.Graph, cfg Config) *greedy.Result) Algorithm {
 	return Algorithm{
-		Name:  name,
-		Class: ClassSeq,
+		Name:          name,
+		Class:         ClassSeq,
+		Deterministic: true,
 		Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 			if err := par.CtxErr(cfg.ctx()); err != nil {
 				return nil, err
@@ -261,19 +272,9 @@ var (
 func initRegistry() {
 	registryOnce.Do(func() {
 		registryAlgos = registryList()
-		// Strong determinism (see Algorithm.Deterministic): everything
-		// except JP-ASL (shared atomic removal counter), ITR/GM
-		// (speculative reads race with concurrent writes) and ITRB
-		// (batch size derived from Procs). The JP-ADG/JP-ADG-M/DEC
-		// determinism is pinned by the p ∈ {1,2,8} tests in internal/jp
-		// and internal/spec; SPEC-ADG's — the only deterministic member
-		// of the speculative family — by internal/speculate and the
-		// proptest matrix.
-		nonDeterministic := map[string]bool{"JP-ASL": true, "ITR": true, "ITRB": true, "GM": true}
 		registryByName = make(map[string]Algorithm, len(registryAlgos))
-		for i := range registryAlgos {
-			registryAlgos[i].Deterministic = !nonDeterministic[registryAlgos[i].Name]
-			registryByName[registryAlgos[i].Name] = registryAlgos[i]
+		for _, a := range registryAlgos {
+			registryByName[a.Name] = a
 		}
 	})
 }
@@ -289,33 +290,36 @@ func Registry() []Algorithm {
 func registryList() []Algorithm {
 	return []Algorithm{
 		// Jones–Plassmann family (Table III class 3).
-		jpAlgo("JP-FF", func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.FirstFit(g), nil }),
-		jpAlgo("JP-R", func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.Random(g, cfg.Seed), nil }),
-		jpAlgo("JP-LF", func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.LargestFirst(g, cfg.Seed), nil }),
-		jpAlgo("JP-LLF", func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
+		jpAlgo("JP-FF", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.FirstFit(g), nil }),
+		jpAlgo("JP-R", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.Random(g, cfg.Seed), nil }),
+		jpAlgo("JP-LF", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.LargestFirst(g, cfg.Seed), nil }),
+		jpAlgo("JP-LLF", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
 			return order.LargestLogFirst(g, cfg.Seed), nil
 		}),
-		jpAlgo("JP-SL", func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.SmallestLast(g), nil }),
-		jpAlgo("JP-SLL", func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
+		jpAlgo("JP-SL", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) { return order.SmallestLast(g), nil }),
+		jpAlgo("JP-SLL", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
 			return order.SmallestLogLast(g, cfg.Seed, cfg.Procs), nil
 		}),
-		jpAlgo("JP-ASL", func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
+		jpAlgo("JP-ASL", false, func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
 			return order.ApproxSmallestLast(g, cfg.Seed, cfg.Procs), nil
 		}),
-		jpAlgo("JP-ADG", func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
+		jpAlgo("JP-ADG", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
 			return order.ADGContext(cfg.ctx(), g, order.ADGOptions{Epsilon: cfg.Epsilon, Procs: cfg.Procs, Seed: cfg.Seed, Sorted: true})
 		}),
-		jpAlgo("JP-ADG-M", func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
+		jpAlgo("JP-ADG-M", true, func(g *graph.Graph, cfg Config) (*order.Ordering, error) {
 			return order.ADGContext(cfg.ctx(), g, order.ADGOptions{Median: true, Procs: cfg.Procs, Seed: cfg.Seed, Sorted: true})
 		}),
-		// Speculative family (class 1 + contributions #3/#4).
-		specAlgo("ITR", func(g *graph.Graph, cfg Config) *spec.Result {
+		// Speculative family (class 1 + contributions #3/#4). ITR is
+		// deterministic: its tentative pass reads only colors the
+		// previous round's apply step fixed. ITRB's batches are sized
+		// by Procs, and GM's workers read each other's in-flight colors.
+		specAlgo("ITR", true, func(g *graph.Graph, cfg Config) *spec.Result {
 			return spec.ITR(g, spec.Options{Procs: cfg.Procs, Seed: cfg.Seed})
 		}),
-		specAlgo("ITRB", func(g *graph.Graph, cfg Config) *spec.Result {
+		specAlgo("ITRB", false, func(g *graph.Graph, cfg Config) *spec.Result {
 			return spec.ITRB(g, spec.Options{Procs: cfg.Procs, Seed: cfg.Seed})
 		}),
-		specAlgo("GM", func(g *graph.Graph, cfg Config) *spec.Result {
+		specAlgo("GM", false, func(g *graph.Graph, cfg Config) *spec.Result {
 			return spec.GM(g, spec.Options{Procs: cfg.Procs, Seed: cfg.Seed})
 		}),
 		decAlgo("DEC-ADG", false, false),
@@ -323,11 +327,12 @@ func registryList() []Algorithm {
 		// Static speculate-and-repair over the ADG-O order (class 1,
 		// internal/speculate): chunked optimistic greedy, within-chunk
 		// conflict detection, localized JP-over-ADG repair. Unlike
-		// ITR/ITRB/GM it never reads in-flight colors, so it keeps the
+		// ITRB/GM it never reads in-flight colors, so it keeps the
 		// strong Las Vegas property.
 		{
-			Name:  "SPEC-ADG",
-			Class: ClassSC,
+			Name:          "SPEC-ADG",
+			Class:         ClassSC,
+			Deterministic: true,
 			Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 				res := &RunResult{}
 				var sr *speculate.Result
@@ -357,8 +362,9 @@ func registryList() []Algorithm {
 		},
 		// MIS family.
 		{
-			Name:  "Luby-MIS",
-			Class: ClassMIS,
+			Name:          "Luby-MIS",
+			Class:         ClassMIS,
+			Deterministic: true,
 			Run: withPoolStats(func(g *graph.Graph, cfg Config) (*RunResult, error) {
 				if err := par.CtxErr(cfg.ctx()); err != nil {
 					return nil, err
@@ -410,6 +416,3 @@ func RunChecked(a Algorithm, g *graph.Graph, cfg Config) (*RunResult, error) {
 	}
 	return res, nil
 }
-
-// Degeneracy is re-exported for convenience of cmd tools.
-func Degeneracy(g *graph.Graph) int { return kcore.Degeneracy(g) }

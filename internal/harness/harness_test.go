@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,18 +140,15 @@ func TestExperimentDriversSmoke(t *testing.T) {
 	}
 	o := smallOptions()
 	for name, fn := range Experiments() {
-		switch name {
-		case "fig1", "table3", "fig2strong", "fig2weak":
-			continue // covered by the dedicated tests below at smaller size
-		}
-		out, err := fn(o)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if len(out) < 50 {
-			t.Errorf("%s: suspiciously short output:\n%s", name, out)
-		}
+		t.Run(name, func(t *testing.T) {
+			out, err := fn(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) < 50 {
+				t.Errorf("suspiciously short output:\n%s", out)
+			}
+		})
 	}
 }
 
@@ -166,9 +164,152 @@ func TestTableIIOutputsGuarantees(t *testing.T) {
 	}
 }
 
-func TestVerifyAll(t *testing.T) {
-	if err := VerifyAll(3); err != nil {
+// TestSweepRecordsEveryCell pins Sweep's cell order (graph, then
+// algorithm, then config), the identity fields and the bound fields of
+// every record.
+func TestSweepRecordsEveryCell(t *testing.T) {
+	kron, err := gen.Kronecker(9, 8, 3, 2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	grid, err := gen.Grid2D(20, 20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := append(single("kron", kron), single("grid", grid)...)
+	algos, err := lookupAll("JP-ADG", "DEC-ADG-ITR", "Greedy-ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{{Procs: 1, Seed: 5, Epsilon: 0.1}, {Procs: 2, Seed: 5, Epsilon: 1}}
+	recs, err := Sweep(graphs, algos, cfgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(graphs)*len(algos)*len(cfgs) {
+		t.Fatalf("%d records for %d cells", len(recs), len(graphs)*len(algos)*len(cfgs))
+	}
+	i := 0
+	for _, bg := range graphs {
+		d := kcore.Degeneracy(bg.G)
+		for _, a := range algos {
+			for _, cfg := range cfgs {
+				r := recs[i]
+				i++
+				if r.Graph != bg.Name || r.Name != a.Name || r.P != cfg.Procs || r.Epsilon != cfg.Epsilon {
+					t.Fatalf("record %d is %s/%s p=%d eps=%g, want %s/%s p=%d eps=%g",
+						i-1, r.Graph, r.Name, r.P, r.Epsilon, bg.Name, a.Name, cfg.Procs, cfg.Epsilon)
+				}
+				if r.SchemaVersion != RecordSchemaVersion || r.Vertices != bg.G.NumVertices() || r.Arcs != bg.G.NumArcs() {
+					t.Errorf("%s on %s: identity fields %+v", a.Name, bg.Name, r)
+				}
+				if want := verify.QualityBound(a.Name, bg.G, d, cfg.Epsilon); r.Bound != want {
+					t.Errorf("%s on %s at eps %g: bound %d, want %d", a.Name, bg.Name, cfg.Epsilon, r.Bound, want)
+				}
+				if r.Colors < 1 || !r.BoundOK || r.Seconds != r.ReorderSeconds+r.ColorSeconds {
+					t.Errorf("%s on %s: run fields %+v", a.Name, bg.Name, r)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepKeepsMedianRun checks that a cell keeps the run with the
+// median time, every field taken from that run, and that a proper but
+// over-bound coloring is recorded rather than rejected.
+func TestSweepKeepsMedianRun(t *testing.T) {
+	g, err := gen.ErdosRenyiGNM(300, 1500, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One color per vertex: proper, and far above JP-SL's d+1.
+	distinct := make([]uint32, g.NumVertices())
+	for v := range distinct {
+		distinct[v] = uint32(v + 1)
+	}
+	for _, tc := range []struct {
+		times      []float64
+		wantRounds int // the 1-based call that holds the median time
+	}{
+		{[]float64{0.3, 0.1, 0.2}, 3},
+		{[]float64{0.4, 0.1, 0.3, 0.2}, 4},
+		{[]float64{0.5}, 1},
+	} {
+		calls := 0
+		fake := Algorithm{Name: "JP-SL", Class: ClassJP, Run: func(_ *graph.Graph, _ Config) (*RunResult, error) {
+			calls++
+			sec := tc.times[calls-1]
+			return &RunResult{
+				Colors: distinct, NumColors: len(distinct), ColorSeconds: sec,
+				Rounds: calls, Conflicts: int64(10 * calls),
+			}, nil
+		}}
+		recs, err := Sweep(single("er", g), []Algorithm{fake}, []Config{{Procs: 1}}, len(tc.times))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || calls != len(tc.times) {
+			t.Fatalf("%d records after %d runs, want 1 after %d", len(recs), calls, len(tc.times))
+		}
+		r := recs[0]
+		if r.Rounds != tc.wantRounds || r.Conflicts != int64(10*tc.wantRounds) || r.Seconds != tc.times[tc.wantRounds-1] {
+			t.Errorf("times %v: kept run %d (%g s, %d conflicts), want run %d",
+				tc.times, r.Rounds, r.Seconds, r.Conflicts, tc.wantRounds)
+		}
+		if want := kcore.Degeneracy(g) + 1; r.Bound != want || r.BoundOK {
+			t.Errorf("over-bound run: bound %d ok %v, want %d and false", r.Bound, r.BoundOK, want)
+		}
+	}
+}
+
+// TestSweepFailsOnBadRun checks that an improper coloring or a run
+// error fails the sweep instead of producing a record.
+func TestSweepFailsOnBadRun(t *testing.T) {
+	g, err := gen.Path(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errRun := errors.New("run failed")
+	for _, tc := range []struct {
+		name string
+		run  func(*graph.Graph, Config) (*RunResult, error)
+		want error // wrapped by the sweep's error, when not nil
+	}{
+		{"improper", func(*graph.Graph, Config) (*RunResult, error) {
+			return &RunResult{Colors: []uint32{1, 1, 1, 1}, NumColors: 1}, nil
+		}, nil},
+		{"run error", func(*graph.Graph, Config) (*RunResult, error) { return nil, errRun }, errRun},
+	} {
+		recs, err := Sweep(single("path", g), []Algorithm{{Name: "broken", Run: tc.run}}, []Config{{}}, 2)
+		if err == nil || recs != nil {
+			t.Fatalf("%s: Sweep returned %v, %v", tc.name, recs, err)
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Fatalf("%s: %v does not wrap %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestMatrixReportCells checks colorbench -matrix's cell selection:
+// every suite graph × the named algorithms × the worker counts.
+func TestMatrixReportCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the dataset suite")
+	}
+	recs, err := MatrixReport(smallOptions(), []string{"JP-ADG", "SPEC-ADG"}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(DefaultSuite()) * 2 * 2; len(recs) != want {
+		t.Fatalf("%d records, want %d", len(recs), want)
+	}
+	for _, r := range recs {
+		if !r.BoundOK {
+			t.Errorf("%s on %s at p=%d: %d colors over bound %d", r.Name, r.Graph, r.P, r.Colors, r.Bound)
+		}
+	}
+	if _, err := MatrixReport(smallOptions(), []string{"nope"}, nil); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
 }
 

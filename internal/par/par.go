@@ -95,12 +95,6 @@ func ForBlocksWeighted(p int, offsets []int64, body func(lo, hi int)) {
 	Default().ForBlocksWeighted(p, offsets, body)
 }
 
-// ForWorkersWeighted is ForBlocksWeighted with the block index passed to
-// body for per-worker scratch.
-func ForWorkersWeighted(p int, offsets []int64, body func(worker, lo, hi int)) {
-	Default().ForWorkersWeighted(p, offsets, body)
-}
-
 // ForWeightedBy runs body(i) over [0, n) with blocks balanced by the
 // per-item weights (typically deg(items[i]) for a frontier or batch).
 func ForWeightedBy(p, n int, weight func(i int) int64, body func(i int)) {
@@ -114,22 +108,10 @@ func ForWorkersWeightedBy(p, n int, scratch []int64, weight func(i int) int64, b
 	Default().ForWorkersWeightedBy(p, n, scratch, weight, body)
 }
 
-// ForDynamic runs body(i) for i in [0, n) with dynamic (grabbed) scheduling
-// in grain-sized chunks. Use for irregular per-iteration cost with no
-// useful weight oracle (DEC-ADG-ITR's dynamic scheduling §VI).
-func ForDynamic(p, n, grain int, body func(i int)) {
-	Default().ForDynamic(p, n, grain, body)
-}
-
 // ReduceInt64 computes the sum over i in [0, n) of f(i) with p workers in
 // O(n/p + log p) time — the paper's Reduce primitive (§II-D).
 func ReduceInt64(p, n int, f func(i int) int64) int64 {
 	return Default().ReduceInt64(p, n, f)
-}
-
-// ReduceFloat64 is ReduceInt64 for float64 values.
-func ReduceFloat64(p, n int, f func(i int) float64) float64 {
-	return Default().ReduceFloat64(p, n, f)
 }
 
 // Count returns |{i in [0,n) : pred(i)}| — the paper's Count primitive,

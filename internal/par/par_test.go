@@ -88,21 +88,6 @@ func TestForWorkersDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoversAll(t *testing.T) {
-	for _, p := range []int{1, 2, 4} {
-		for _, grain := range []int{1, 3, 64} {
-			n := 777
-			hit := make([]int32, n)
-			ForDynamic(p, n, grain, func(i int) { atomic.AddInt32(&hit[i], 1) })
-			for i, h := range hit {
-				if h != 1 {
-					t.Fatalf("p=%d grain=%d: index %d visited %d times", p, grain, i, h)
-				}
-			}
-		}
-	}
-}
-
 func TestReduceInt64(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 9} {
 		n := 1234
@@ -117,14 +102,6 @@ func TestReduceInt64(t *testing.T) {
 func TestReduceInt64Empty(t *testing.T) {
 	if got := ReduceInt64(4, 0, func(i int) int64 { return 1 }); got != 0 {
 		t.Fatalf("empty reduce = %d", got)
-	}
-}
-
-func TestReduceFloat64(t *testing.T) {
-	n := 1000
-	got := ReduceFloat64(3, n, func(i int) float64 { return 0.5 })
-	if got != float64(n)/2 {
-		t.Fatalf("got %v", got)
 	}
 }
 

@@ -145,19 +145,16 @@ func Default() *Pool {
 func DefaultPoolStats() PoolStats { return Default().Stats() }
 
 // planUniform computes block boundaries for n items of uniform cost.
-// It returns nil when the region should run inline: p clamps to 1, or the
-// estimated work n·cost is under the sequential grain. Boundaries are a
-// pure function of (p, n, cost), so any blocking-dependent output (Pack
-// order, per-block scratch) is independent of scheduling and timing.
-func (pl *Pool) planUniform(p, n int, cost int64) []int {
+// It returns nil when the region should run inline: p clamps to 1, or n
+// is under the sequential grain. Boundaries are a pure function of
+// (p, n), so any blocking-dependent output (Pack order, per-block
+// scratch) is independent of scheduling and timing.
+func (pl *Pool) planUniform(p, n int) []int {
 	p = clampProcs(p, n)
 	if p == 1 {
 		return nil
 	}
-	if cost < 1 {
-		cost = 1
-	}
-	work := int64(n) * cost
+	work := int64(n)
 	if work < seqGrain {
 		atomic.AddInt64(&pl.seqCutoffHits, 1)
 		return nil
@@ -287,7 +284,7 @@ func (pl *Pool) ForBlocks(p, n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	bounds := pl.planUniform(p, n, 1)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		body(0, n)
 		return
@@ -310,23 +307,7 @@ func (pl *Pool) ForWorkers(p, n int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	bounds := pl.planUniform(p, n, 1)
-	if bounds == nil {
-		body(0, 0, n)
-		return
-	}
-	pl.runBounds(bounds, body)
-}
-
-// ForWorkersCost is ForWorkers with an explicit per-item cost hint used
-// by the adaptive sequential cutoff: loops whose body touches several
-// cache lines per item (hash draws, bitmap probes) should pass a larger
-// hint so they fork even for moderate n.
-func (pl *Pool) ForWorkersCost(p, n int, cost int64, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	bounds := pl.planUniform(p, n, cost)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		body(0, 0, n)
 		return
@@ -352,25 +333,10 @@ func (pl *Pool) ForBlocksWeighted(p int, offsets []int64, body func(lo, hi int))
 	pl.runBounds(bounds, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// ForWorkersWeighted is ForBlocksWeighted with the block index passed to
-// body for per-worker scratch.
-func (pl *Pool) ForWorkersWeighted(p int, offsets []int64, body func(worker, lo, hi int)) {
-	n := len(offsets) - 1
-	if n <= 0 {
-		return
-	}
-	bounds := pl.planWeighted(p, n, offsets)
-	if bounds == nil {
-		body(0, 0, n)
-		return
-	}
-	pl.runBounds(bounds, body)
-}
-
 // ForWorkersWeightedBy is the weighted loop over an indexed collection
 // (a frontier, a batch) with per-item weights — typically the degree of
 // frontier[i]. It materializes the weight prefix once (O(n)) and then
-// splits edge-balanced like ForWorkersWeighted. scratch, when non-nil,
+// splits edge-balanced like ForBlocksWeighted. scratch, when non-nil,
 // supplies the prefix buffer (len >= n+1) so per-round callers can avoid
 // reallocating it.
 func (pl *Pool) ForWorkersWeightedBy(p, n int, scratch []int64, weight func(i int) int64, body func(worker, lo, hi int)) {
@@ -411,46 +377,12 @@ func (pl *Pool) ForWeightedBy(p, n int, weight func(i int) int64, body func(i in
 	})
 }
 
-// ForDynamic is the pool-scoped dynamic (grabbed) loop in grain-sized
-// chunks, for irregular per-iteration cost with no useful weight oracle.
-func (pl *Pool) ForDynamic(p, n, grain int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	bounds := pl.planUniform(p, n, 1)
-	if bounds == nil {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next int64
-	pl.runBounds(bounds, func(_, _, _ int) {
-		for {
-			lo := int(atomic.AddInt64(&next, int64(grain))) - grain
-			if lo >= n {
-				return
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}
-	})
-}
-
 // ReduceInt64 is the pool-scoped sum reduction.
 func (pl *Pool) ReduceInt64(p, n int, f func(i int) int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	bounds := pl.planUniform(p, n, 1)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		var s int64
 		for i := 0; i < n; i++ {
@@ -467,34 +399,6 @@ func (pl *Pool) ReduceInt64(p, n int, f func(i int) int64) int64 {
 		partial[w] = s
 	})
 	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return total
-}
-
-// ReduceFloat64 is the pool-scoped sum reduction for float64 values.
-func (pl *Pool) ReduceFloat64(p, n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	bounds := pl.planUniform(p, n, 1)
-	if bounds == nil {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partial := make([]float64, len(bounds)-1)
-	pl.runBounds(bounds, func(w, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += f(i)
-		}
-		partial[w] = s
-	})
-	var total float64
 	for _, s := range partial {
 		total += s
 	}
@@ -523,7 +427,7 @@ func (pl *Pool) extremeInt64(p, n int, def int64, f func(i int) int64, min bool)
 		}
 		return v > m
 	}
-	bounds := pl.planUniform(p, n, 1)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		m := def
 		for i := 0; i < n; i++ {
@@ -568,7 +472,7 @@ func (pl *Pool) PrefixSumInt32(p int, src []int32, dst []int64) int64 {
 		dst[0] = 0
 		return 0
 	}
-	bounds := pl.planUniform(p, n, 1)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		var run int64
 		for i, v := range src {
@@ -610,7 +514,7 @@ func (pl *Pool) Pack(p, n int, keep func(i int) bool) []uint32 {
 	if n <= 0 {
 		return nil
 	}
-	bounds := pl.planUniform(p, n, 1)
+	bounds := pl.planUniform(p, n)
 	if bounds == nil {
 		out := make([]uint32, 0, 16)
 		for i := 0; i < n; i++ {

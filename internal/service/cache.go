@@ -12,8 +12,8 @@ import (
 // (graph, version, algorithm, seed, epsilon) fully determines the
 // coloring — Procs is deliberately NOT part of the key: a result
 // computed at p=8 serves a p=2 request byte-for-byte. The
-// non-deterministic schemes (JP-ASL, ITR, ITRB, GM) bypass the cache
-// entirely (see Manager.Color).
+// non-deterministic schemes (JP-ASL, ITRB, GM) bypass the cache
+// entirely (see Manager.resolve).
 //
 // Version is the graph's mutation version: every applied mutation
 // batch bumps it, so a coloring cached before a mutation can never be

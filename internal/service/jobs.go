@@ -184,6 +184,81 @@ func (m *Manager) Stats() ManagerStats {
 	}
 }
 
+// resolved is what a request resolves to against the registry: the
+// pinned snapshot, the registered algorithm and the versioned cache
+// key.
+type resolved struct {
+	g    *graph.Graph
+	algo harness.Algorithm
+	key  Key
+}
+
+// resolve normalizes req in place (the ε default, NoCache for the
+// non-deterministic schemes) and fills r, for Color and ColorCached.
+// It pins the (snapshot, version) pair once, before cache lookup and
+// single-flight: the whole request is then served against this one
+// immutable graph, and the versioned cache key guarantees a concurrent
+// mutation can never leak a stale coloring into a request that reads
+// the newer version.
+func (m *Manager) resolve(req *ColorRequest, r *resolved) error {
+	entry, err := m.reg.Get(req.Graph)
+	if err != nil {
+		return err
+	}
+	var version uint64
+	if r.g, version, err = entry.View(); err != nil {
+		return err
+	}
+	if r.algo, err = harness.Lookup(req.Algorithm); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if req.Epsilon == 0 {
+		req.Epsilon = 0.01
+	}
+	// !(>= 0) rather than < 0: NaN must be rejected too — as a map key
+	// it never equals itself, so it would leak single-flight entries.
+	if !(req.Epsilon >= 0) {
+		return fmt.Errorf("%w: epsilon must be >= 0", ErrBadRequest)
+	}
+	// Procs reaches per-worker allocations (JP's scratch arrays) before
+	// the par pool's clamping, so an untrusted request must not pick it
+	// freely — beyond maxRequestProcs it only wastes memory anyway.
+	if req.Procs < 0 || req.Procs > maxRequestProcs {
+		return fmt.Errorf("%w: procs must be in [0, %d]", ErrBadRequest, maxRequestProcs)
+	}
+	// Caching and coalescing are sound only for the strongly
+	// deterministic schemes (equal key ⇒ bit-identical coloring); the
+	// rest (JP-ASL, ITRB, GM) always compute fresh — their results are
+	// proper but may differ across runs or worker counts.
+	if !r.algo.Deterministic {
+		req.NoCache = true
+	}
+	r.key = Key{Graph: req.Graph, Version: version, Algorithm: r.algo.Name, Seed: req.Seed, Epsilon: req.Epsilon}
+	return nil
+}
+
+// response builds the reply to the resolved request from the coloring e.
+func (r *resolved) response(req *ColorRequest, e *Entry, cached, coalesced bool) *ColorResponse {
+	resp := &ColorResponse{
+		Graph:          req.Graph,
+		GraphVersion:   r.key.Version,
+		Algorithm:      r.algo.Name,
+		Seed:           req.Seed,
+		Epsilon:        req.Epsilon,
+		NumColors:      e.NumColors,
+		Rounds:         e.Rounds,
+		Verified:       true,
+		Deterministic:  r.algo.Deterministic,
+		Cached:         cached,
+		Coalesced:      coalesced,
+		ComputeSeconds: e.ComputeSeconds,
+	}
+	if req.IncludeColors {
+		resp.Colors = e.Colors
+	}
+	return resp
+}
+
 // Color executes req, consulting the cache first and coalescing with an
 // identical in-flight request if one exists. Cancelling ctx (client gone
 // or deadline hit) frees the worker slot within one algorithm round for
@@ -194,44 +269,9 @@ func (m *Manager) Stats() ManagerStats {
 // returns once the bounded run finishes, which frees the slot late but
 // never wedges it.
 func (m *Manager) Color(ctx context.Context, req ColorRequest) (*ColorResponse, error) {
-	entry, err := m.reg.Get(req.Graph)
-	if err != nil {
+	var r resolved
+	if err := m.resolve(&req, &r); err != nil {
 		return nil, err
-	}
-	// Pin the (snapshot, version) pair once, before cache lookup and
-	// single-flight: the whole request is then served against this one
-	// immutable graph, and the versioned cache key guarantees a
-	// concurrent mutation can never leak a stale coloring into a
-	// request that reads the newer version.
-	g, version, err := entry.View()
-	if err != nil {
-		return nil, err
-	}
-	algo, err := harness.Lookup(req.Algorithm)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	eps := req.Epsilon
-	if eps == 0 {
-		eps = 0.01
-	}
-	// !(>= 0) rather than < 0: NaN must be rejected too — as a map key
-	// it never equals itself, so it would leak single-flight entries.
-	if !(eps >= 0) {
-		return nil, fmt.Errorf("%w: epsilon must be >= 0", ErrBadRequest)
-	}
-	// Procs reaches per-worker allocations (JP's scratch arrays) before
-	// the par pool's clamping, so an untrusted request must not pick it
-	// freely — beyond maxRequestProcs it only wastes memory anyway.
-	if req.Procs < 0 || req.Procs > maxRequestProcs {
-		return nil, fmt.Errorf("%w: procs must be in [0, %d]", ErrBadRequest, maxRequestProcs)
-	}
-	// Caching and coalescing are sound only for the strongly
-	// deterministic schemes (equal key ⇒ bit-identical coloring); the
-	// rest (JP-ASL, ITR, ITRB, GM) always compute fresh — their results
-	// are proper but may differ across runs or worker counts.
-	if !algo.Deterministic {
-		req.NoCache = true
 	}
 	// Arm the per-request deadline here, before the cache lookup, slot
 	// queue and single-flight wait, so "the request took too long"
@@ -246,32 +286,11 @@ func (m *Manager) Color(ctx context.Context, req ColorRequest) (*ColorResponse, 
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	key := Key{Graph: req.Graph, Version: version, Algorithm: algo.Name, Seed: req.Seed, Epsilon: eps}
-	resp := func(e *Entry, cached, coalesced bool) *ColorResponse {
-		r := &ColorResponse{
-			Graph:          req.Graph,
-			GraphVersion:   version,
-			Algorithm:      algo.Name,
-			Seed:           req.Seed,
-			Epsilon:        eps,
-			NumColors:      e.NumColors,
-			Rounds:         e.Rounds,
-			Verified:       true,
-			Deterministic:  algo.Deterministic,
-			Cached:         cached,
-			Coalesced:      coalesced,
-			ComputeSeconds: e.ComputeSeconds,
-		}
-		if req.IncludeColors {
-			r.Colors = e.Colors
-		}
-		return r
-	}
 
 	for {
 		if !req.NoCache {
-			if e, ok := m.cache.Get(key); ok {
-				return resp(e, true, false), nil
+			if e, ok := m.cache.Get(r.key); ok {
+				return r.response(&req, e, true, false), nil
 			}
 		}
 
@@ -282,11 +301,11 @@ func (m *Manager) Color(ctx context.Context, req ColorRequest) (*ColorResponse, 
 		leader := req.NoCache
 		if !req.NoCache {
 			m.sfMu.Lock()
-			if existing, ok := m.sf[key]; ok {
+			if existing, ok := m.sf[r.key]; ok {
 				f = existing
 			} else {
 				f = &flight{done: make(chan struct{})}
-				m.sf[key] = f
+				m.sf[r.key] = f
 				leader = true
 			}
 			m.sfMu.Unlock()
@@ -306,79 +325,48 @@ func (m *Manager) Color(ctx context.Context, req ColorRequest) (*ColorResponse, 
 					m.met.sfWait.Observe(wait)
 				}
 				obs.TraceFrom(ctx).AddSpan("singleflight-wait", wait.Seconds())
-				return resp(f.entry, false, true), nil
+				return r.response(&req, f.entry, false, true), nil
 			}
 			// The leader failed (typically its own deadline). Loop and
 			// compute for ourselves rather than inheriting its error.
 			continue
 		}
 
-		e, err := m.lead(ctx, algo, g, eps, req, key, f)
+		e, err := m.lead(ctx, &req, &r, f)
 		if err != nil {
 			return nil, err
 		}
-		return resp(e, false, false), nil
+		return r.response(&req, e, false, false), nil
 	}
 }
 
 // ColorCached answers req from the local result cache alone: no
 // computation, no single-flight wait, no slot. ok is false whenever
-// the cached-serve preconditions don't hold (unknown graph or
-// algorithm, non-deterministic scheme, NoCache, invalid epsilon) or
-// the key simply isn't resident — the caller falls back to the full
-// Color path (or routes the request to the key's home node). Absent
-// keys are probed with Cache.Peek, so the steady-state "not resident
-// here, lives on its home" case does not pollute the miss counter.
+// the cached-serve preconditions don't hold (a request Color would
+// reject, a non-deterministic scheme, NoCache) or the key simply isn't
+// resident — the caller falls back to the full Color path (or routes
+// the request to the key's home node). Absent keys are probed with
+// Cache.Peek, so the steady-state "not resident here, lives on its
+// home" case does not pollute the miss counter.
 func (m *Manager) ColorCached(req ColorRequest) (*ColorResponse, bool) {
 	if req.NoCache {
 		return nil, false
 	}
-	entry, err := m.reg.Get(req.Graph)
-	if err != nil {
+	var r resolved
+	if err := m.resolve(&req, &r); err != nil || req.NoCache {
 		return nil, false
 	}
-	_, version, err := entry.View()
-	if err != nil {
-		return nil, false
-	}
-	algo, err := harness.Lookup(req.Algorithm)
-	if err != nil || !algo.Deterministic {
-		return nil, false
-	}
-	eps := req.Epsilon
-	if eps == 0 {
-		eps = 0.01
-	}
-	if !(eps >= 0) {
-		return nil, false
-	}
-	e, ok := m.cache.Peek(Key{Graph: req.Graph, Version: version, Algorithm: algo.Name, Seed: req.Seed, Epsilon: eps})
+	e, ok := m.cache.Peek(r.key)
 	if !ok {
 		return nil, false
 	}
-	resp := &ColorResponse{
-		Graph:          req.Graph,
-		GraphVersion:   version,
-		Algorithm:      algo.Name,
-		Seed:           req.Seed,
-		Epsilon:        eps,
-		NumColors:      e.NumColors,
-		Rounds:         e.Rounds,
-		Verified:       true,
-		Deterministic:  true,
-		Cached:         true,
-		ComputeSeconds: e.ComputeSeconds,
-	}
-	if req.IncludeColors {
-		resp.Colors = e.Colors
-	}
-	return resp, true
+	return r.response(&req, e, true, false), true
 }
 
 // lead runs the computation as the single-flight leader: acquire a slot
 // (the caller already armed the request deadline on ctx), run checked,
 // publish to cache and followers.
-func (m *Manager) lead(ctx context.Context, algo harness.Algorithm, g *graph.Graph, eps float64, req ColorRequest, key Key, f *flight) (*Entry, error) {
+func (m *Manager) lead(ctx context.Context, req *ColorRequest, r *resolved, f *flight) (*Entry, error) {
 	finished := false
 	finish := func(e *Entry, err error) {
 		if f == nil || finished {
@@ -386,7 +374,7 @@ func (m *Manager) lead(ctx context.Context, algo harness.Algorithm, g *graph.Gra
 		}
 		finished = true
 		m.sfMu.Lock()
-		delete(m.sf, key)
+		delete(m.sf, r.key)
 		m.sfMu.Unlock()
 		f.entry, f.err = e, err
 		close(f.done)
@@ -416,10 +404,10 @@ func (m *Manager) lead(ctx context.Context, algo harness.Algorithm, g *graph.Gra
 	defer func() { <-m.sem }()
 
 	start := time.Now()
-	res, err := harness.RunChecked(algo, g, harness.Config{
+	res, err := harness.RunChecked(r.algo, r.g, harness.Config{
 		Procs:   req.Procs,
 		Seed:    req.Seed,
-		Epsilon: eps,
+		Epsilon: req.Epsilon,
 		Ctx:     ctx,
 	})
 	if err != nil {
@@ -439,10 +427,10 @@ func (m *Manager) lead(ctx context.Context, algo harness.Algorithm, g *graph.Gra
 	}
 	run := time.Since(start)
 	if m.met != nil {
-		m.met.jobRun.With(algo.Name).Observe(run)
-		m.met.observePhases(obs.TraceFrom(ctx), algo.Name, res.Phases)
+		m.met.jobRun.With(r.algo.Name).Observe(run)
+		m.met.observePhases(obs.TraceFrom(ctx), r.algo.Name, res.Phases)
 	}
-	obs.TraceFrom(ctx).AddSpan("run/"+algo.Name, run.Seconds())
+	obs.TraceFrom(ctx).AddSpan("run/"+r.algo.Name, run.Seconds())
 	e := &Entry{
 		Colors:         res.Colors,
 		NumColors:      res.NumColors,
@@ -450,7 +438,7 @@ func (m *Manager) lead(ctx context.Context, algo harness.Algorithm, g *graph.Gra
 		ComputeSeconds: run.Seconds(),
 	}
 	if !req.NoCache {
-		m.cache.Put(key, e)
+		m.cache.Put(r.key, e)
 	}
 	finish(e, nil)
 	m.completed.Add(1)

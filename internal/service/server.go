@@ -612,10 +612,7 @@ type Metrics struct {
 	// HTTPLatency carries the per-endpoint server-side request-duration
 	// histogram snapshots (classes merged). colorload diffs two scrapes
 	// to print the server's own p50/p95/p99 for just its run.
-	HTTPLatency    map[string]obs.HistogramSnapshot `json:"httpLatency,omitempty"`
-	SchemaVersions struct {
-		AlgoRecord int `json:"algoRecord"`
-	} `json:"schemaVersions"`
+	HTTPLatency map[string]obs.HistogramSnapshot `json:"httpLatency,omitempty"`
 }
 
 // SnapshotMetrics builds the current Metrics document.
@@ -667,7 +664,6 @@ func (s *Server) SnapshotMetrics() Metrics {
 	m.Quality = s.qualityMetrics()
 	m.HistMergeMismatches = obs.MergeMismatches()
 	m.HTTPLatency = s.met.httpSnapshots()
-	m.SchemaVersions.AlgoRecord = harness.AlgoRecordSchemaVersion
 	return m
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -339,14 +340,49 @@ func TestConcurrentRequestsOneGraph(t *testing.T) {
 	}
 	cs := mgr.Cache().Stats()
 	st := mgr.Stats()
-	// ITR is non-deterministic and bypasses the cache entirely; the
-	// other 3 algorithms × 4 seeds = 12 cacheable keys across 24
-	// requests, each of which was a hit, a coalesced wait, or a miss.
-	if got := cs.Hits + st.Coalesced + cs.Misses; got < 24 {
-		t.Fatalf("lookups %d < cacheable requests 24 (stats %+v / %+v)", got, cs, st)
+	// All 4 algorithms are deterministic: 4 algorithms × 4 seeds = 16
+	// cacheable keys across 32 requests, each of which was a hit, a
+	// coalesced wait, or a miss.
+	if got := cs.Hits + st.Coalesced + cs.Misses; got < 32 {
+		t.Fatalf("lookups %d < cacheable requests 32 (stats %+v / %+v)", got, cs, st)
 	}
-	if cs.Entries == 0 || cs.Entries > 12 {
-		t.Fatalf("cache entries = %d, want 1..12", cs.Entries)
+	if cs.Entries == 0 || cs.Entries > 16 {
+		t.Fatalf("cache entries = %d, want 1..16", cs.Entries)
+	}
+}
+
+// TestITRRequestIsCached: ITR is deterministic (its tentative pass
+// reads only colors the previous round fixed), so a repeated request
+// is a cache hit with the identical coloring, whatever procs it asks.
+func TestITRRequestIsCached(t *testing.T) {
+	s := NewServer(ManagerConfig{MaxInflight: 2, CacheEntries: 8})
+	g, err := BuildSpec("kron:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Add("k8", "kron:8", g); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Manager().Color(context.Background(), ColorRequest{Graph: "k8", Algorithm: "ITR", Seed: 3, Procs: 1, IncludeColors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || !first.Deterministic {
+		t.Fatalf("first ITR response %+v: want a fresh run flagged deterministic", first)
+	}
+	again, err := s.Manager().Color(context.Background(), ColorRequest{Graph: "k8", Algorithm: "ITR", Seed: 3, Procs: 4, IncludeColors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached {
+		t.Fatalf("repeated ITR response %+v: want cached", again)
+	}
+	fresh, err := s.Manager().Color(context.Background(), ColorRequest{Graph: "k8", Algorithm: "ITR", Seed: 3, Procs: 4, IncludeColors: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Cached || !slices.Equal(again.Colors, first.Colors) || !slices.Equal(fresh.Colors, first.Colors) {
+		t.Fatal("ITR colorings differ between the p=1 run, its cached copy and a fresh p=4 run")
 	}
 }
 

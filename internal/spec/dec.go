@@ -32,16 +32,10 @@ func DECADGITR(g *graph.Graph, opts Options) *Result {
 	return decColor(g, opts, false, true)
 }
 
-// DecomposeOrdering runs the ADG* phase of Algorithm 4 alone (ε/12, with
-// partitions retained). Exposed so the harness can time reordering and
-// coloring separately, as Fig. 1's stacked bars do.
-func DecomposeOrdering(g *graph.Graph, opts Options, median bool) *order.Ordering {
-	ord, _ := DecomposeOrderingContext(context.Background(), g, opts, median)
-	return ord
-}
-
-// DecomposeOrderingContext is DecomposeOrdering with cooperative
-// cancellation (checked once per ADG peeling iteration).
+// DecomposeOrderingContext runs the ADG* phase of Algorithm 4 alone
+// (ε/12, with partitions retained), with cooperative cancellation
+// checked once per ADG peeling iteration. Exposed so the harness can
+// time reordering and coloring separately, as Fig. 1's stacked bars do.
 func DecomposeOrderingContext(ctx context.Context, g *graph.Graph, opts Options, median bool) (*order.Ordering, error) {
 	return order.ADGContext(ctx, g, order.ADGOptions{
 		Epsilon: opts.epsilon() / 12,
@@ -51,17 +45,11 @@ func DecomposeOrderingContext(ctx context.Context, g *graph.Graph, opts Options,
 	})
 }
 
-// ColorDecomposition runs the coloring phase of Algorithm 4 (or the
-// DEC-ADG-ITR variant) over a precomputed ADG decomposition.
-func ColorDecomposition(g *graph.Graph, ord *order.Ordering, opts Options, itrRule bool) *Result {
-	res, _ := ColorDecompositionContext(context.Background(), g, ord, opts, itrRule)
-	return res
-}
-
-// ColorDecompositionContext is ColorDecomposition with cooperative
-// cancellation, checked once per partition (there are O(log n) of them).
-// On cancellation the partial coloring is discarded and ctx.Err()
-// returned.
+// ColorDecompositionContext runs the coloring phase of Algorithm 4 (or
+// the DEC-ADG-ITR variant) over a precomputed ADG decomposition, with
+// cooperative cancellation checked once per partition (there are
+// O(log n) of them). On cancellation the partial coloring is discarded
+// and ctx.Err() returned.
 func ColorDecompositionContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, opts Options, itrRule bool) (*Result, error) {
 	return decColorWithOrdering(ctx, g, ord, opts, itrRule)
 }
@@ -70,7 +58,7 @@ func decColor(g *graph.Graph, opts Options, median, itrRule bool) *Result {
 	if g.NumVertices() == 0 {
 		return &Result{Colors: []uint32{}}
 	}
-	ord := DecomposeOrdering(g, opts, median)
+	ord, _ := DecomposeOrderingContext(context.Background(), g, opts, median)
 	res, _ := decColorWithOrdering(context.Background(), g, ord, opts, itrRule)
 	return res
 }

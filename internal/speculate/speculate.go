@@ -13,7 +13,7 @@
 //     smallest color unused among its already-finalized neighbors,
 //     optimistically ignoring edges to vertices being colored
 //     concurrently (the speculation, exactly the conflict source of the
-//     GPU speculative greedy in Chen et al.). Unlike the racy ITR/GM
+//     GPU speculative greedy in Chen et al.). Unlike the racy ITRB/GM
 //     speculators in internal/spec, in-flight colors are never read, so
 //     the guess is a pure function of (graph, seed) and bit-identical
 //     at any worker count;
@@ -47,7 +47,7 @@
 // The engine's provable bound is therefore the speculative family's
 // Δ+1 (Table III class 1), while measured counts track JP-ADG closely
 // because the chunk order coarsens the same ADG-O degeneracy order JP
-// colors by (see BENCH_PR8.json).
+// colors by (EXPERIMENTS.md, E14).
 package speculate
 
 import (

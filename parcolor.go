@@ -23,11 +23,12 @@
 //	fmt.Println(res.NumColors, "colors")
 //
 // All algorithms are Las Vegas: results are always proper colorings.
-// The JP orderings (except ASL), the ADG family, DEC-ADG(-ITR), Luby-MIS
-// and the sequential baselines are additionally deterministic: for fixed
-// seeds their coloring is independent of the worker count and of
-// scheduling. JP-ASL, ITR, ITRB and GM trade that guarantee for speed —
-// their (still proper) colorings can vary across runs.
+// The JP orderings (except ASL), the ADG family, DEC-ADG(-ITR),
+// SPEC-ADG, ITR, Luby-MIS and the sequential baselines are additionally
+// deterministic: for fixed seeds their coloring is independent of the
+// worker count and of scheduling. JP-ASL, ITRB and GM trade that
+// guarantee for speed — their (still proper) colorings can vary across
+// runs.
 package parcolor
 
 import (
