@@ -26,9 +26,9 @@ type Source interface {
 // (RepairColors recolors exactly this set), but computed from a plain
 // CSR coloring with no Overlay in sight.
 //
-// The scan is an edge-balanced parallel pass over the CSR; the output
-// order is the vertex order (par.Pack preserves index order), so the
-// frontier is deterministic regardless of p.
+// The scan is one parallel pass over the vertices (par.Pack tests each
+// once); the output order is the vertex order (par.Pack preserves
+// index order), so the frontier is deterministic regardless of p.
 func ConflictFrontier(g *graph.Graph, colors []uint32, p int) []uint32 {
 	return par.Pack(p, g.NumVertices(), func(v int) bool {
 		cv := colors[v]

@@ -343,7 +343,7 @@ var slotPool = sync.Pool{New: func() any { return new([]int32) }}
 // vertices sequenced by the priority DAG).
 //
 // src is any adjacency source — the mutable Overlay on the mutation
-// path, a plain CSR graph on the static speculate-and-repair path. The
+// path, a plain CSR graph on SPEC-ADG's defensive outer loop. The
 // ADG seed is mixed with salt so successive repairs draw fresh
 // tie-breaks while staying a deterministic function of (opts.Seed,
 // salt, dirty, colors): the result is bit-identical at any worker
@@ -352,20 +352,16 @@ var slotPool = sync.Pool{New: func() any { return new([]int32) }}
 //
 // Cost: O(vol(dirty)) reads and no per-call O(n) work. One sequential
 // gather pass reads each dirty vertex's merged neighborhood once and
-// splits it, through a dense vertex→slot index, into the induced edge
-// list and the distinct fixed-neighbor colors that can constrain its
-// mex (1..deg+1); the JP rounds then read only the induced subgraph,
-// the dirty vertices' new colors and that fixed-color list, with no
-// per-arc hash lookup. The index is an n-entry array recycled through
-// slotPool, whose invariant is that every pooled array is all-zero
-// between calls: a call sets only its dirty entries and clears exactly
-// those before handing the array back, so it neither allocates nor
-// clears O(n) once the pool is warm.
+// splits it, through a dense vertex→slot index, into the Region's
+// local lists and the distinct fixed-neighbor colors that can
+// constrain its mex (1..deg+1); RepairRegion then reads only those.
+// The index is an n-entry array recycled through slotPool, whose
+// invariant is that every pooled array is all-zero between calls: a
+// call sets only its dirty entries and clears exactly those before
+// handing the array back, so it neither allocates nor clears O(n) once
+// the pool is warm.
 func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, salt uint64) (repaired, rounds int) {
-	opts = opts.withDefaults()
-	p := opts.Procs
 	nd := len(dirty)
-
 	sp := slotPool.Get().(*[]int32)
 	if n := src.NumVertices(); len(*sp) < n {
 		*sp = make([]int32, n)
@@ -374,42 +370,91 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	for i, v := range dirty {
 		slot[v] = int32(i) + 1
 	}
-	fixOff := make([]int, nd+1)
+	r := Region{Dirty: dirty, LocalOff: make([]int, nd+1), FixedOff: make([]int, nd+1)}
 	// seen[c] == i+1 marks color c as already listed for dirty vertex i.
-	var fixed, buf, seen []uint32
-	var localEdges []graph.Edge
-	maxDeg := 0
+	var buf, seen []uint32
 	for i, v := range dirty {
 		buf = src.AppendNeighbors(buf[:0], v)
 		d := len(buf)
-		maxDeg = max(maxDeg, d)
 		if len(seen) < d+2 {
 			seen = make([]uint32, d+2)
 		}
 		tag := uint32(i) + 1
 		for _, u := range buf {
-			if j := slot[u] - 1; j < 0 {
+			if j := slot[u]; j == 0 {
 				if cu := colors[u]; cu != 0 && int(cu) <= d+1 && seen[cu] != tag {
 					seen[cu] = tag
-					fixed = append(fixed, cu)
+					r.Fixed = append(r.Fixed, cu)
 				}
-			} else if int32(i) < j {
-				localEdges = append(localEdges, graph.Edge{U: uint32(i), V: uint32(j)})
+			} else {
+				r.Local = append(r.Local, uint32(j-1))
 			}
 		}
-		fixOff[i+1] = len(fixed)
+		r.LocalOff[i+1] = len(r.Local)
+		r.FixedOff[i+1] = len(r.Fixed)
 	}
 	for _, v := range dirty {
 		slot[v] = 0
 	}
 	slotPool.Put(sp)
+	return RepairRegion(colors, &r, opts, salt)
+}
 
-	// The induced subgraph is tiny (bounded by the batch or conflict
-	// set); FromEdges cannot fail here — ids are local indices by
-	// construction.
-	sub, err := graph.FromEdges(nd, localEdges, p)
+// Region is a repair region in local indices: dirty vertex Dirty[i] is
+// local vertex i. Both lists of a vertex may hold their entries in any
+// order.
+type Region struct {
+	Dirty []uint32
+	// Local[LocalOff[i]:LocalOff[i+1]] are the local indices of i's
+	// neighbors inside the region, each once. The lists are symmetric:
+	// j is in i's list exactly when i is in j's.
+	LocalOff []int
+	Local    []uint32
+	// Fixed[FixedOff[i]:FixedOff[i+1]] are colors that neighbors of i
+	// outside the region hold, repeats allowed. A color above
+	// deg(Dirty[i])+1 may be left out: it cannot constrain i's mex.
+	FixedOff []int
+	Fixed    []uint32
+}
+
+// RepairRegion colors r.Dirty in place, reading nothing but r: JP over
+// the region's induced subgraph under a fresh ADG ordering of it (seed
+// opts.Seed+salt), each vertex avoiding its fixed colors and the colors
+// of its earlier-colored region neighbors. RepairColors gathers a
+// region from an adjacency source; SPEC-ADG builds one per chunk from
+// the lists its sweep kept. It returns how many colors changed and the
+// JP round count, both deterministic at any worker count.
+func RepairRegion(colors []uint32, r *Region, opts Options, salt uint64) (repaired, rounds int) {
+	opts = opts.withDefaults()
+	p := opts.Procs
+	nd := len(r.Dirty)
+
+	// The induced CSR is the transpose of the local lists: visiting the
+	// rows in order appends i to the row of each of its neighbors, so
+	// every row comes out sorted by local index, as graph.FromEdges
+	// would sort it, with no edge list and no sort. A vertex with k
+	// forbidden entries gets a color of at most k+1, so the mex sets
+	// are sized by the largest fixed-plus-local count, not by degree.
+	offsets := make([]int64, nd+1)
+	for _, j := range r.Local {
+		offsets[j+1]++
+	}
+	maxForbidden := 0
+	for i := 0; i < nd; i++ {
+		offsets[i+1] += offsets[i]
+		maxForbidden = max(maxForbidden, r.LocalOff[i+1]-r.LocalOff[i]+r.FixedOff[i+1]-r.FixedOff[i])
+	}
+	adj := make([]uint32, len(r.Local))
+	cursor := slices.Clone(offsets[:nd])
+	for i := 0; i < nd; i++ {
+		for _, j := range r.Local[r.LocalOff[i]:r.LocalOff[i+1]] {
+			adj[cursor[j]] = uint32(i)
+			cursor[j]++
+		}
+	}
+	sub, err := graph.FromCSR(offsets, adj)
 	if err != nil {
-		panic(fmt.Sprintf("dynamic: induced subgraph: %v", err))
+		panic(fmt.Sprintf("dynamic: repair region: %v", err))
 	}
 	// JP-ADG-style priorities on the dirty region.
 	ord := order.ADG(sub, order.ADGOptions{
@@ -427,7 +472,7 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 	}
 	states := make([]*workerState, p)
 	for w := range states {
-		states[w] = &workerState{mex: mex.New(maxDeg)}
+		states[w] = &workerState{mex: mex.New(maxForbidden)}
 	}
 	nextCounts := make([]int32, p)
 	nextOffs := make([]int64, p+1)
@@ -436,10 +481,11 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 		fr := frontier
 		par.ForWorkers(p, len(fr), func(w, lo, hi int) {
 			st := states[w]
+			shared := lo != 0 || hi != len(fr) // see jp.ColorContext
 			for fi := lo; fi < hi; fi++ {
 				i := fr[fi]
 				st.mex.Reset()
-				for _, cu := range fixed[fixOff[i]:fixOff[i+1]] {
+				for _, cu := range r.Fixed[r.FixedOff[i]:r.FixedOff[i+1]] {
 					st.mex.Forbid(cu)
 				}
 				// One scan, as in jp.ColorContext: a colored dirty
@@ -448,7 +494,7 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 				for _, j := range sub.Neighbors(i) {
 					if cu := newCol[j]; cu != 0 {
 						st.mex.Forbid(cu)
-					} else if par.Join(&counts[j]) {
+					} else if par.Join(&counts[j], shared) {
 						st.next = append(st.next, j)
 					}
 				}
@@ -469,7 +515,7 @@ func RepairColors(src Source, colors []uint32, dirty []uint32, opts Options, sal
 		frontier = nf
 	}
 
-	for i, v := range dirty {
+	for i, v := range r.Dirty {
 		if colors[v] != newCol[i] {
 			colors[v] = newCol[i]
 			repaired++

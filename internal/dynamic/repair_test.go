@@ -96,7 +96,7 @@ func repairColorsReference(src Source, colors []uint32, dirty []uint32, opts Opt
 				ki := keys[i]
 				for _, u := range ns {
 					if j, ok := idx[u]; ok && keys[j] < ki {
-						if par.Join(&counts[j]) {
+						if par.Join(&counts[j], true) {
 							st.next = append(st.next, uint32(j))
 						}
 					}
@@ -307,11 +307,14 @@ func TestRepairColorsNoPerCallOrderN(t *testing.T) {
 	}
 }
 
-// BenchmarkRepairColors times the localized repair, with one worker, in
-// the two shapes its callers give it: SPEC-ADG's (the 64 highest-degree
-// vertices of a kron:15 CSR graph reset to one shared color over a
-// JP-ADG coloring) and the mutation path's (the dirty set of a 64-edge
-// batch on a kron:14 Overlay).
+// BenchmarkRepairColors times the localized repair, gather included,
+// with one worker, in two shapes: a CSR conflict set (the 64
+// highest-degree vertices of a kron:15 graph reset to one shared color
+// over a JP-ADG coloring), the shape SPEC-ADG's defensive outer loop
+// would hand it, and the mutation path's (the dirty set of a 64-edge
+// batch on a kron:14 Overlay). SPEC-ADG's per-chunk repairs skip the
+// gather: they call RepairRegion on the lists their sweep kept, which
+// BenchmarkSPECADG in internal/speculate times.
 func BenchmarkRepairColors(b *testing.B) {
 	b.Run("spec-kron15-top64", func(b *testing.B) {
 		g := mustGraph(b)(gen.Kronecker(15, 16, 1, 0))

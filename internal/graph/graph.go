@@ -84,12 +84,15 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	return found
 }
 
-// MaxDegree returns Δ, or 0 for an empty graph.
+// MaxDegree returns Δ, or 0 for an empty graph. Like MinDegree and
+// Degrees it is one sequential pass over the offsets: it borrows no
+// par workers, so a caller that asked for one worker gets one.
 func (g *Graph) MaxDegree() int {
-	n := g.NumVertices()
-	return int(par.MaxInt64(par.DefaultProcs(), n, 0, func(i int) int64 {
-		return int64(g.Degree(uint32(i)))
-	}))
+	d := 0
+	for v, n := 0, g.NumVertices(); v < n; v++ {
+		d = max(d, g.Degree(uint32(v)))
+	}
+	return d
 }
 
 // MinDegree returns δ, or 0 for an empty graph.
@@ -98,9 +101,11 @@ func (g *Graph) MinDegree() int {
 	if n == 0 {
 		return 0
 	}
-	return int(par.MinInt64(par.DefaultProcs(), n, 1<<62, func(i int) int64 {
-		return int64(g.Degree(uint32(i)))
-	}))
+	d := g.Degree(0)
+	for v := 1; v < n; v++ {
+		d = min(d, g.Degree(uint32(v)))
+	}
+	return d
 }
 
 // AvgDegree returns δ̂ = 2m/n, or 0 for an empty graph.
@@ -114,11 +119,10 @@ func (g *Graph) AvgDegree() float64 {
 
 // Degrees returns a freshly allocated slice of all vertex degrees.
 func (g *Graph) Degrees() []int32 {
-	n := g.NumVertices()
-	d := make([]int32, n)
-	par.For(par.DefaultProcs(), n, func(i int) {
-		d[i] = int32(g.Degree(uint32(i)))
-	})
+	d := make([]int32, g.NumVertices())
+	for v := range d {
+		d[v] = int32(g.Degree(uint32(v)))
+	}
 	return d
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,6 +66,29 @@ func TestEveryAlgorithmRunsChecked(t *testing.T) {
 	}
 }
 
+// TestProcsOneForksNothing: a run asked for one worker stays on the
+// calling goroutine, so it neither forks nor dispatches to the par
+// pool, whatever GOMAXPROCS is, and no loop in it even asks for more
+// workers (no sequential-cutoff hit). That makes a Procs 1 run a true
+// one-core baseline.
+func TestProcsOneForksNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := gen.Kronecker(13, 16, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range Registry() {
+		res, err := RunChecked(a, g, Config{Procs: 1, Seed: 1, Epsilon: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Forks != 0 || res.Dispatches != 0 || res.SeqCutoffHits != 0 {
+			t.Errorf("%s at Procs 1: %d forks, %d dispatches, %d sequential-cutoff hits",
+				a.Name, res.Forks, res.Dispatches, res.SeqCutoffHits)
+		}
+	}
+}
+
 func TestJPAlgorithmsReportPhaseSplit(t *testing.T) {
 	g, err := gen.ErdosRenyiGNM(2000, 10000, 1, 2)
 	if err != nil {
@@ -105,6 +129,16 @@ func TestBuildSuite(t *testing.T) {
 		}
 		if bg.StandsFor == "" {
 			t.Errorf("%s: missing Table V mapping", bg.Name)
+		}
+	}
+	// A scale is built once per process: a second call shares the graphs.
+	again, err := BuildSuite(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range again {
+		if again[i].G != suite[i].G {
+			t.Errorf("%s: rebuilt on the second call", again[i].Name)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -93,10 +95,23 @@ type BuiltGraph struct {
 	G *graph.Graph
 }
 
-// BuildSuite builds every dataset at the given scale.
+// builtSuites holds each scale's suite once built. The graphs are
+// immutable, so every experiment in a process shares them.
+var builtSuites struct {
+	sync.Mutex
+	byScale map[int][]BuiltGraph
+}
+
+// BuildSuite builds every dataset at the given scale, once per scale
+// per process; later calls return the same graphs in a fresh slice.
 func BuildSuite(scale int) ([]BuiltGraph, error) {
 	if scale < 1 {
 		scale = 1
+	}
+	builtSuites.Lock()
+	defer builtSuites.Unlock()
+	if out, ok := builtSuites.byScale[scale]; ok {
+		return slices.Clone(out), nil
 	}
 	var out []BuiltGraph
 	for _, d := range DefaultSuite() {
@@ -106,5 +121,9 @@ func BuildSuite(scale int) ([]BuiltGraph, error) {
 		}
 		out = append(out, BuiltGraph{Dataset: d, G: g})
 	}
-	return out, nil
+	if builtSuites.byScale == nil {
+		builtSuites.byScale = map[int][]BuiltGraph{}
+	}
+	builtSuites.byScale[scale] = out
+	return slices.Clone(out), nil
 }

@@ -32,7 +32,8 @@ type Result struct {
 	Rounds int
 	// EdgesScanned counts adjacency-list words read (work proxy, Fig. 4).
 	EdgesScanned int64
-	// AtomicOps counts Join decrements performed (memory-pressure proxy).
+	// AtomicOps counts Join decrements performed (memory-pressure proxy);
+	// in a round that runs as one block they are plain decrements.
 	AtomicOps int64
 }
 
@@ -110,6 +111,9 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 			return int64(g.Degree(fr[i]))
 		}, func(w, lo, hi int) {
 			st := states[w]
+			// A block that is the whole round runs alone, so no other
+			// goroutine touches the counters and a plain decrement does.
+			shared := lo != 0 || hi != len(fr)
 			for i := lo; i < hi; i++ {
 				v := fr[i]
 				// One scan does GetColor and JPColor. When v is colored,
@@ -126,7 +130,7 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 						st.mex.Forbid(c)
 					} else {
 						st.atoms++
-						if par.Join(&counts[u]) {
+						if par.Join(&counts[u], shared) {
 							st.next = append(st.next, u)
 						}
 					}

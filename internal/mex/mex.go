@@ -37,6 +37,12 @@ func (s *Set) Forbid(c uint32) {
 	}
 }
 
+// Forbidden reports whether color c was forbidden since the last
+// Reset; a color past the set's range never is.
+func (s *Set) Forbidden(c uint32) bool {
+	return uint(c) < uint(len(s.stamp)) && s.stamp[c] == s.epoch
+}
+
 // Smallest returns the smallest color >= 1 not forbidden since the last
 // Reset.
 func (s *Set) Smallest() uint32 {

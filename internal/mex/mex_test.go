@@ -53,6 +53,23 @@ func TestForbidIgnoresColorsPastRange(t *testing.T) {
 	}
 }
 
+func TestForbiddenReportsTheSet(t *testing.T) {
+	s := New(4) // colors 1..5
+	s.Reset()
+	for _, c := range []uint32{2, 5, 9} {
+		s.Forbid(c)
+	}
+	for c, want := range []bool{false, false, true, false, false, true, false, false, false, false} {
+		if got := s.Forbidden(uint32(c)); got != want {
+			t.Errorf("Forbidden(%d) = %v, want %v", c, got, want)
+		}
+	}
+	s.Reset()
+	if s.Forbidden(2) {
+		t.Error("Forbidden(2) survived Reset")
+	}
+}
+
 // TestGreedyMatchesNaive checks Greedy against a map-based mex on
 // random neighborhoods, colors 0..deg+3 so that some exceed the range.
 func TestGreedyMatchesNaive(t *testing.T) {

@@ -108,12 +108,14 @@ func ADGContext(ctx context.Context, g *graph.Graph, opts ADGOptions) (*Ordering
 	if p <= 0 {
 		p = par.DefaultProcs()
 	}
-	deg := g.Degrees()
-	// key[v] is v's removal key, unsetRank while v is active.
+	// deg[v] is v's residual degree; key[v] is v's removal key,
+	// unsetRank while v is active.
+	deg := make([]int32, n)
 	key := make([]uint32, n)
 	arr := make([]uint32, n)
 	maxDeg := 0
 	for v := range key {
+		deg[v] = int32(g.Degree(uint32(v)))
 		key[v] = unsetRank
 		arr[v] = uint32(v)
 		maxDeg = max(maxDeg, int(deg[v]))

@@ -32,12 +32,12 @@ func Random(g *graph.Graph, seed uint64) *Ordering {
 }
 
 // LargestFirst returns the LF ordering [31]: rank = degree, random ties.
+// Like LLF it runs sequentially, as NewFromRanks does.
 func LargestFirst(g *graph.Graph, seed uint64) *Ordering {
-	n := g.NumVertices()
-	ranks := make([]uint32, n)
-	par.For(par.DefaultProcs(), n, func(v int) {
+	ranks := make([]uint32, g.NumVertices())
+	for v := range ranks {
 		ranks[v] = uint32(g.Degree(uint32(v)))
-	})
+	}
 	o := NewFromRanks("LF", ranks, seed)
 	o.Iterations = 1
 	return o
@@ -48,11 +48,10 @@ func LargestFirst(g *graph.Graph, seed uint64) *Ordering {
 // distinct priority levels by O(log Δ), which is what improves JP-LF's
 // worst-case depth.
 func LargestLogFirst(g *graph.Graph, seed uint64) *Ordering {
-	n := g.NumVertices()
-	ranks := make([]uint32, n)
-	par.For(par.DefaultProcs(), n, func(v int) {
+	ranks := make([]uint32, g.NumVertices())
+	for v := range ranks {
 		ranks[v] = uint32(bits.Len(uint(g.Degree(uint32(v)))))
-	})
+	}
 	o := NewFromRanks("LLF", ranks, seed)
 	o.Iterations = 1
 	return o

@@ -44,14 +44,15 @@ type Ordering struct {
 }
 
 // NewFromRanks builds a total order from per-vertex ranks with random
-// tie-breaking seeded by seed.
+// tie-breaking seeded by seed. It runs sequentially: drawing the
+// permutation already does, so a fork would save little, and a caller
+// that asked for one worker gets one.
 func NewFromRanks(name string, ranks []uint32, seed uint64) *Ordering {
-	n := len(ranks)
-	perm := xrand.New(seed).Perm(n, nil)
-	keys := make([]uint64, n)
-	par.For(par.DefaultProcs(), n, func(v int) {
-		keys[v] = uint64(ranks[v])<<32 | uint64(perm[v])
-	})
+	perm := xrand.New(seed).Perm(len(ranks), nil)
+	keys := make([]uint64, len(ranks))
+	for v, r := range ranks {
+		keys[v] = uint64(r)<<32 | uint64(perm[v])
+	}
 	return &Ordering{Name: name, Keys: keys, Rank: ranks}
 }
 

@@ -145,7 +145,8 @@ func PrefixSumInt32(p int, src []int32, dst []int64) int64 {
 }
 
 // Pack writes the indices i in [0, n) with keep(i) into a fresh slice,
-// preserving order. It is the Filter/Pack primitive built from a prefix sum.
+// preserving order: the Filter/Pack primitive. It calls keep exactly once
+// per index, so a predicate that scans an adjacency list scans it once.
 func Pack(p, n int, keep func(i int) bool) []uint32 {
 	return Default().Pack(p, n, keep)
 }
@@ -158,9 +159,16 @@ func DecrementAndFetch(addr *int32) int32 {
 
 // Join decrements *addr and reports whether the caller is the last to
 // arrive (the counter reached zero). This mirrors the Join synchronization
-// primitive of Hasenplaugh et al. used in JPColor.
-func Join(addr *int32) bool {
-	return atomic.AddInt32(addr, -1) == 0
+// primitive of Hasenplaugh et al. used in JPColor. shared selects the
+// atomic decrement; a caller that is the only goroutine touching the
+// counters (a round that runs as one block) passes false and pays a
+// plain decrement instead of a LOCK-prefixed one.
+func Join(addr *int32, shared bool) bool {
+	if shared {
+		return atomic.AddInt32(addr, -1) == 0
+	}
+	*addr--
+	return *addr == 0
 }
 
 // FetchAdd64 atomically adds delta to *addr and returns the new value.

@@ -222,12 +222,19 @@ func TestJoinExactlyOneWinner(t *testing.T) {
 		var c int32 = 64
 		var winners int32
 		For(4, 64, func(i int) {
-			if Join(&c) {
+			if Join(&c, true) {
 				atomic.AddInt32(&winners, 1)
 			}
 		})
 		if winners != 1 {
 			t.Fatalf("trial %d: %d winners, want exactly 1", trial, winners)
+		}
+	}
+	// The unshared form, for a counter only one goroutine touches.
+	c := int32(3)
+	for i, want := range []bool{false, false, true} {
+		if got := Join(&c, false); got != want {
+			t.Fatalf("unshared Join %d: got %v, want %v", i, got, want)
 		}
 	}
 }

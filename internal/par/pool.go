@@ -509,43 +509,38 @@ func (pl *Pool) PrefixSumInt32(p int, src []int32, dst []int64) int64 {
 }
 
 // Pack is the pool-scoped Filter/Pack primitive; output order is
-// ascending regardless of p or scheduling.
+// ascending regardless of p or scheduling. keep runs exactly once per
+// index: each block collects its kept indices, and the blocks are
+// concatenated in block order.
 func (pl *Pool) Pack(p, n int, keep func(i int) bool) []uint32 {
 	if n <= 0 {
 		return nil
 	}
 	bounds := pl.planUniform(p, n)
 	if bounds == nil {
-		out := make([]uint32, 0, 16)
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				out = append(out, uint32(i))
-			}
-		}
-		return out
+		return packRange(make([]uint32, 0, 16), 0, n, keep)
 	}
-	k := len(bounds) - 1
-	counts := make([]int32, k)
+	parts := make([][]uint32, len(bounds)-1)
 	pl.runBounds(bounds, func(w, lo, hi int) {
-		var c int32
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		counts[w] = c
+		parts[w] = packRange(nil, lo, hi, keep)
 	})
-	offsets := make([]int64, k+1)
-	total := pl.PrefixSumInt32(1, counts, offsets)
-	out := make([]uint32, total)
-	pl.runBounds(bounds, func(w, lo, hi int) {
-		pos := offsets[w]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				out[pos] = uint32(i)
-				pos++
-			}
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	out := make([]uint32, 0, total)
+	for _, part := range parts {
+		out = append(out, part...)
+	}
+	return out
+}
+
+// packRange appends the indices i in [lo, hi) with keep(i) to out.
+func packRange(out []uint32, lo, hi int, keep func(i int) bool) []uint32 {
+	for i := lo; i < hi; i++ {
+		if keep(i) {
+			out = append(out, uint32(i))
 		}
-	})
+	}
 	return out
 }

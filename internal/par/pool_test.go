@@ -2,6 +2,7 @@ package par
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,18 +246,24 @@ func TestForWeightedByZeroWeights(t *testing.T) {
 }
 
 func TestPackDeterministicAcrossProcs(t *testing.T) {
-	n := 60000
-	keep := func(i int) bool { return i%3 == 0 || i%11 == 0 }
-	base := Pack(1, n, keep)
-	for _, p := range []int{2, 4, 8} {
-		got := Pack(p, n, keep)
-		if len(got) != len(base) {
-			t.Fatalf("p=%d: len %d vs %d", p, len(got), len(base))
+	n := 60000 // above the sequential grain, so p > 1 forks
+	var want []uint32
+	for i := 0; i < n; i++ {
+		if i%3 == 0 || i%11 == 0 {
+			want = append(want, uint32(i))
 		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("p=%d: element %d differs", p, i)
-			}
+	}
+	for _, p := range []int{1, 2, 8} {
+		var calls atomic.Int64
+		got := Pack(p, n, func(i int) bool {
+			calls.Add(1)
+			return i%3 == 0 || i%11 == 0
+		})
+		if c := calls.Load(); c != int64(n) {
+			t.Errorf("p=%d: keep ran %d times for %d indices", p, c, n)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("p=%d: Pack differs from the sequential filter", p)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/order"
 	"repro/internal/recolor"
 	"repro/internal/spec"
+	"repro/internal/speculate"
 	"repro/internal/xrand"
 )
 
@@ -78,6 +79,41 @@ var goldenRuns = map[string]golden{
 	"SPEC-ADG/kron":         {0x45d012d21e6ed5dc, 257, 0, 4},
 	"SPEC-ADG/kron12":       {0x60a1ea3bc731e29, 352, 149, 7},
 	"SPEC-ADG/ws":           {0x4784015d08c196d4, 383, 128, 6},
+
+	// SPEC-ADG off its defaults (goldenSpecVariants), recorded before
+	// the chunk sweep kept its same-chunk neighbor lists.
+	"SPEC-ADG(chunks=1)/ba":                    {0x9c72f1abef746383, 20, 0, 6},
+	"SPEC-ADG(chunks=1)/bipartite":             {0x68f3ca1559d0dcb5, 5, 0, 2},
+	"SPEC-ADG(chunks=1)/er":                    {0x4bdaa7e998616280, 26, 0, 8},
+	"SPEC-ADG(chunks=1)/grid":                  {0x9b00d6e1cac8bb25, 42, 0, 8},
+	"SPEC-ADG(chunks=1)/grid64":                {0x6042de83408ba325, 186, 0, 32},
+	"SPEC-ADG(chunks=1)/kron":                  {0x45d012d21e6ed5dc, 25, 0, 4},
+	"SPEC-ADG(chunks=1)/kron12":                {0xaadd8055dd04792, 103, 0, 7},
+	"SPEC-ADG(chunks=1)/ws":                    {0x6dc70bff1ad28c33, 41, 0, 6},
+	"SPEC-ADG(chunks=1,fallback=-1)/ba":        {0xf06fcf6776eaa8a2, 21, 300, 6},
+	"SPEC-ADG(chunks=1,fallback=-1)/bipartite": {0x68f3ca1559d0dcb5, 5, 40, 2},
+	"SPEC-ADG(chunks=1,fallback=-1)/er":        {0xadc74d003b15c397, 25, 399, 8},
+	"SPEC-ADG(chunks=1,fallback=-1)/grid":      {0x9b00d6e1cac8bb25, 42, 256, 8},
+	"SPEC-ADG(chunks=1,fallback=-1)/grid64":    {0x6042de83408ba325, 186, 4096, 32},
+	"SPEC-ADG(chunks=1,fallback=-1)/kron":      {0x6b0f6bcaad1c5a41, 24, 113, 4},
+	"SPEC-ADG(chunks=1,fallback=-1)/kron12":    {0xca70a6b3960da280, 110, 3001, 7},
+	"SPEC-ADG(chunks=1,fallback=-1)/ws":        {0x41df6e90c4afc293, 39, 300, 6},
+	"SPEC-ADG(chunks=16)/ba":                   {0x81787ef41e7b28e0, 49, 29, 6},
+	"SPEC-ADG(chunks=16)/bipartite":            {0x68f3ca1559d0dcb5, 33, 0, 2},
+	"SPEC-ADG(chunks=16)/er":                   {0xcda7b6a4172fb63, 62, 66, 8},
+	"SPEC-ADG(chunks=16)/grid":                 {0xb648aeaa0206bff7, 64, 52, 8},
+	"SPEC-ADG(chunks=16)/grid64":               {0x53909423d1ef5925, 227, 2255, 32},
+	"SPEC-ADG(chunks=16)/kron":                 {0x1847b9fe650c9f18, 48, 20, 4},
+	"SPEC-ADG(chunks=16)/kron12":               {0xf96b8d49e6dfeead, 162, 562, 7},
+	"SPEC-ADG(chunks=16)/ws":                   {0x6a3e99468fe89be7, 109, 174, 6},
+	"SPEC-ADG(fallback=-1)/ba":                 {0x5feafad394d66894, 260, 3, 6},
+	"SPEC-ADG(fallback=-1)/bipartite":          {0x68f3ca1559d0dcb5, 81, 0, 2},
+	"SPEC-ADG(fallback=-1)/er":                 {0x61c227304e54eca0, 262, 6, 8},
+	"SPEC-ADG(fallback=-1)/grid":               {0xc154532a188bb25, 259, 2, 8},
+	"SPEC-ADG(fallback=-1)/grid64":             {0x37b8018db41a0e93, 433, 385, 32},
+	"SPEC-ADG(fallback=-1)/kron":               {0x45d012d21e6ed5dc, 257, 0, 4},
+	"SPEC-ADG(fallback=-1)/kron12":             {0x60a1ea3bc731e29, 352, 149, 7},
+	"SPEC-ADG(fallback=-1)/ws":                 {0x4784015d08c196d4, 383, 128, 6},
 }
 
 // goldenColored is the hash of a dynamic.Colored's coloring after
@@ -130,7 +166,28 @@ func goldenAlgorithms(t *testing.T) map[string]func(g *graph.Graph, cfg harness.
 		res := spec.DECADGM(g, spec.Options{Procs: cfg.Procs, Seed: cfg.Seed, Epsilon: cfg.Epsilon})
 		return golden{hashColors(res.Colors), int64(res.Rounds), res.Conflicts, int64(res.OrderIterations)}
 	}
+	for name, opts := range goldenSpecVariants {
+		out[name] = func(g *graph.Graph, cfg harness.Config) golden {
+			opts.Procs, opts.Seed, opts.Epsilon = cfg.Procs, cfg.Seed, cfg.Epsilon
+			res, err := speculate.Color(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return golden{hashColors(res.Colors), int64(res.Rounds), res.Conflicts, int64(res.OrderIterations)}
+		}
+	}
 	return out
+}
+
+// goldenSpecVariants are SPEC-ADG's paths that its defaults do not
+// take: one chunk, where every run falls back to JP-ADG; 16 chunks,
+// where more speculation fails and more repairs run; and the fallback
+// switched off, where the localized repair fixes every conflict.
+var goldenSpecVariants = map[string]speculate.Options{
+	"SPEC-ADG(chunks=1)":             {SpecChunks: 1},
+	"SPEC-ADG(chunks=16)":            {SpecChunks: 16},
+	"SPEC-ADG(fallback=-1)":          {FallbackFraction: -1},
+	"SPEC-ADG(chunks=1,fallback=-1)": {SpecChunks: 1, FallbackFraction: -1},
 }
 
 func hashColors(colors []uint32) uint64 {

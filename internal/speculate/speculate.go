@@ -17,21 +17,24 @@
 //     speculators in internal/spec, in-flight colors are never read, so
 //     the guess is a pure function of (graph, seed) and bit-identical
 //     at any worker count;
-//  2. detect: conflicts can only sit on within-chunk edges, so each
-//     chunk pass is followed by a scan of exactly those edges; the
-//     whole-graph form, dynamic.ConflictFrontier, re-checks the final
-//     coloring in one edge-balanced parallel pass and drives the
-//     defensive outer loop;
-//  3. repair: dynamic.RepairColors — the localized JP-over-ADG repair
-//     the mutation path uses — recolors exactly the conflict set,
-//     reading only its distance-1 closure, immediately after the
-//     chunk that produced it (so later chunks constrain against
-//     repaired colors and the greedy palette stays tight). One pass
-//     leaves the chunk proper by construction; the outer loop iterates
-//     defensively under a round cap, falling back to a full JP-ADG
-//     recolor (over the already-computed ordering) if the cap trips or
-//     the conflict set is too large a fraction of the graph for
-//     localized repair to beat recoloring.
+//  2. detect: conflicts can only sit on within-chunk edges, and the
+//     sweep keeps each vertex's same-chunk neighbors, so each chunk
+//     pass is followed by a scan that reads exactly the within-chunk
+//     edges; the whole-graph form, dynamic.ConflictFrontier, re-checks
+//     the final coloring in one parallel pass and drives the defensive
+//     outer loop;
+//  3. repair: dynamic.RepairRegion — the localized JP-over-ADG repair
+//     the mutation path uses, without its gather — recolors exactly
+//     the conflict set immediately after the chunk that produced it
+//     (so later chunks constrain against repaired colors and the
+//     greedy palette stays tight). It reads only the chunk's lists:
+//     the dirty vertices' same-chunk neighbors and the fixed colors
+//     the sweep listed for them. One pass leaves the chunk proper by
+//     construction; the outer loop iterates defensively, through
+//     dynamic.RepairColors, under a round cap, falling back to a full
+//     JP-ADG recolor (over the already-computed ordering) if the cap
+//     trips or the conflict set is too large a fraction of the graph
+//     for localized repair to beat recoloring.
 //
 // Determinism: the ADG order, the chunked greedy sweep, the packed
 // conflict frontier and the repair are each deterministic functions of
@@ -41,6 +44,8 @@
 // Depth: the speculative sweep is SpecChunks barriers regardless of the
 // coloring DAG, versus JP's per-wavefront rounds (hundreds on the kron
 // family), while the total sweep work stays one adjacency scan, O(m).
+// Detection and repair read only within-chunk arcs, so the run reads
+// about 2m arcs: the sweep's m and the final check's m.
 //
 // Quality: each speculated color is the greedy mex over a subset of
 // the neighborhood, bounded by deg(v)+1; repaired vertices likewise.
@@ -150,8 +155,10 @@ type Result struct {
 	FallbackSeconds float64
 	// OrderIterations is the ADG peeling round count.
 	OrderIterations int
-	// EdgesScanned counts directed arc reads across speculation,
-	// detection and repair (the work proxy of RunResult).
+	// EdgesScanned counts the directed arcs the run reads (the work
+	// proxy of RunResult): every arc of each swept chunk, the
+	// within-chunk lists that detection and repair read, each
+	// whole-graph check, and any defensive repair or fallback.
 	EdgesScanned int64
 }
 
@@ -248,6 +255,19 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 	return res, nil
 }
 
+// sweepBlock is one worker block's scratch for a chunk's sweep: its mex
+// set, the end hi of the chunk positions it swept, their same-chunk
+// neighbor lists and fixed-color lists, and running totals of the arcs
+// it read and the largest color it gave.
+type sweepBlock struct {
+	mex      mex.Set
+	hi       int
+	local    []uint32
+	fixed    []uint32
+	arcs     int64
+	maxColor uint32
+}
+
 // speculateColors produces the optimistic coloring: the ADG-O total
 // order (ord.Rank is the fine-grained position — higher = colored
 // earlier) is cut into SpecChunks contiguous chunks and each chunk is
@@ -258,11 +278,18 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 // both the race-freedom and the speculation in one test. The whole
 // sweep scans each adjacency list exactly once (O(m) work) in
 // SpecChunks barriers, and every monochromatic edge it can leave
-// behind joins two vertices of one chunk — so each pass is followed by
-// a within-chunk conflict scan and an immediate localized repair,
-// keeping later chunks constrained by final (repaired) colors. If a
-// chunk's conflict set exceeds the fallback fraction the sweep bails
-// out early and leaves the decision to the caller's outer loop.
+// behind joins two vertices of one chunk.
+//
+// So the sweep keeps, for each vertex, its same-chunk neighbors (as
+// chunk positions), and for a vertex that has any, the fixed colors of
+// its other-chunk neighbors up to deg+1: after the scan it tests colors
+// 1..min(deg+1, the largest color of the earlier chunks) in its mex
+// set. The within-chunk conflict scan then reads only the same-chunk
+// lists, and the chunk's localized repair gets its region from them
+// too, so no adjacency list is read twice and later chunks are
+// constrained by final (repaired) colors. If a chunk's conflict set
+// exceeds the fallback fraction the sweep bails out early and leaves
+// the decision to the caller's outer loop.
 func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, opts Options, res *Result) ([]uint32, error) {
 	p := opts.Procs
 	n := g.NumVertices()
@@ -270,64 +297,104 @@ func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, o
 	if n == 0 {
 		return colors, nil
 	}
-	chunks := opts.SpecChunks
-	if chunks > n {
-		chunks = n
-	}
-	// Chunk c covers order positions [ceil(c·n/B), ceil((c+1)·n/B)), so
-	// position i maps to chunk ⌊i·B/n⌋ — the two forms agree exactly.
+	chunks := min(opts.SpecChunks, n)
+	// Chunk c covers order positions [ceil(c·n/B), ceil((c+1)·n/B)),
+	// and n-1-Rank[v] is v's position, so a neighbor's position less
+	// the chunk start says whether it is in the chunk and where.
+	rank := ord.Rank
 	byOrder := make([]uint32, n)
-	chunkOf := make([]uint32, n)
-	par.For(p, n, func(v int) {
-		i := n - 1 - int(ord.Rank[v])
-		byOrder[i] = uint32(v)
-		chunkOf[v] = uint32(int64(i) * int64(chunks) / int64(n))
-	})
-
-	maxDeg := g.MaxDegree()
-	states := make([]*mex.Set, p)
-	for w := range states {
-		st := mex.New(maxDeg)
-		states[w] = &st
-	}
-	wscratch := make([]int64, n+1)
+	par.For(p, n, func(v int) { byOrder[n-1-int(rank[v])] = uint32(v) })
 	chunkLo := func(c int) int {
 		return int((int64(c)*int64(n) + int64(chunks) - 1) / int64(chunks))
 	}
+
+	maxDeg := g.MaxDegree()
+	blocks := make([]*sweepBlock, p)
+	for w := range blocks {
+		blocks[w] = &sweepBlock{mex: mex.New(maxDeg)}
+	}
+	// Scratch sized by the largest chunk and reused by every chunk: the
+	// weight prefix, the end of each position's same-chunk and fixed
+	// lists in local and fixed, and each position's dirty slot (local
+	// index + 1, 0 when clean).
+	maxSize := chunkLo(1)
+	wscratch := make([]int64, maxSize+1)
+	localEnd := make([]int, maxSize+1)
+	fixedEnd := make([]int, maxSize+1)
+	slot := make([]int32, maxSize)
+	var local, fixed []uint32
+	var region dynamic.Region
+	var maxColor uint32 // the largest color of the chunks done
 	dOpts := dynamic.Options{Procs: p, Seed: opts.Seed, Epsilon: opts.Epsilon}
 	for c := 0; c < chunks; c++ {
 		if err := par.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		chunk := byOrder[chunkLo(c):chunkLo(c+1)]
-		cc := uint32(c)
-		var dirtyIdx []uint32
+		start := chunkLo(c)
+		chunk := byOrder[start:chunkLo(c+1)]
+		size := len(chunk)
+		var dirtyPos []uint32
 		res.SpecSeconds += timed(func() {
-			par.ForWorkersWeightedBy(p, len(chunk), wscratch, func(i int) int64 {
+			par.ForWorkersWeightedBy(p, size, wscratch, func(i int) int64 {
 				return 1 + int64(g.Degree(chunk[i]))
 			}, func(w, lo, hi int) {
-				st := states[w]
+				b := blocks[w]
+				b.hi = hi
+				b.local, b.fixed = b.local[:0], b.fixed[:0]
 				for i := lo; i < hi; i++ {
-					v := chunk[i]
-					st.Reset()
-					for _, u := range g.Neighbors(v) {
-						if chunkOf[u] != cc {
-							st.Forbid(colors[u])
+					ns := g.Neighbors(chunk[i])
+					b.arcs += int64(len(ns))
+					b.mex.Reset()
+					mark := len(b.local)
+					for _, u := range ns {
+						if j := n - 1 - int(rank[u]) - start; uint(j) < uint(size) {
+							b.local = append(b.local, uint32(j))
+						} else {
+							b.mex.Forbid(colors[u])
 						}
 					}
-					colors[v] = st.Smallest()
+					col := b.mex.Smallest()
+					colors[chunk[i]] = col
+					b.maxColor = max(b.maxColor, col)
+					if len(b.local) > mark {
+						top := min(uint32(len(ns)+1), maxColor)
+						for fc := uint32(1); fc <= top; fc++ {
+							if b.mex.Forbidden(fc) {
+								b.fixed = append(b.fixed, fc)
+							}
+						}
+					}
+					localEnd[i+1] = len(b.local)
+					fixedEnd[i+1] = len(b.fixed)
 				}
 			})
+			// The blocks that ran cover [0, size) in worker order; put
+			// their lists end to end, shifting each block's offsets.
+			local, fixed = local[:0], fixed[:0]
+			for w, pos := 0, 0; pos < size; w++ {
+				b := blocks[w]
+				if w > 0 {
+					for i := pos; i < b.hi; i++ {
+						localEnd[i+1] += len(local)
+						fixedEnd[i+1] += len(fixed)
+					}
+				}
+				local = append(local, b.local...)
+				fixed = append(fixed, b.fixed...)
+				res.EdgesScanned += b.arcs
+				b.arcs = 0
+				maxColor = max(maxColor, b.maxColor)
+				pos = b.hi
+			}
 
 			// Detect within-chunk conflicts (the only edges the pass
-			// speculated away) and repair them before the next chunk reads
-			// these colors. Pack keeps chunk order, so the dirty sequence —
-			// and through it the repair — is deterministic at any p.
-			dirtyIdx = par.Pack(p, len(chunk), func(i int) bool {
-				v := chunk[i]
-				cv := colors[v]
-				for _, u := range g.Neighbors(v) {
-					if chunkOf[u] == cc && colors[u] == cv {
+			// speculated away) over the same-chunk lists alone. Pack
+			// keeps chunk order, so the dirty sequence — and through it
+			// the repair — is deterministic at any p.
+			dirtyPos = par.Pack(p, size, func(i int) bool {
+				cv := colors[chunk[i]]
+				for _, j := range local[localEnd[i]:localEnd[i+1]] {
+					if colors[chunk[j]] == cv {
 						return true
 					}
 				}
@@ -336,35 +403,54 @@ func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, o
 		})
 		res.SpecChunks++
 		res.Rounds += 2 // the sweep pass and the detection scan
-		if len(dirtyIdx) == 0 {
+		res.EdgesScanned += int64(len(local))
+		if len(dirtyPos) == 0 {
 			continue
 		}
 		if opts.FallbackFraction >= 0 &&
-			float64(len(dirtyIdx)) > opts.FallbackFraction*float64(n) {
+			float64(len(dirtyPos)) > opts.FallbackFraction*float64(n) {
 			// Too much speculation failed at once (e.g. SpecChunks=1
 			// colors everything 1). Leave the conflicts in place: the
 			// caller's whole-graph detection sees them — plus the
 			// still-uncolored later chunks — and falls back to JP-ADG.
 			return colors, nil
 		}
-		dirty := make([]uint32, len(dirtyIdx))
-		for i, idx := range dirtyIdx {
-			dirty[i] = chunk[idx]
-		}
 		res.RepairRounds++
-		res.Conflicts += int64(len(dirty))
+		res.Conflicts += int64(len(dirtyPos))
 		var repaired, rounds int
 		res.RepairSeconds += timed(func() {
-			repaired, rounds = dynamic.RepairColors(g, colors, dirty, dOpts, uint64(c)+1)
+			// The region: each dirty vertex's dirty same-chunk
+			// neighbors, in dirty order, and as fixed colors its sweep
+			// list plus its clean same-chunk neighbors' colors.
+			for k, i := range dirtyPos {
+				slot[i] = int32(k) + 1
+			}
+			region.Dirty, region.Local, region.Fixed = region.Dirty[:0], region.Local[:0], region.Fixed[:0]
+			region.LocalOff, region.FixedOff = append(region.LocalOff[:0], 0), append(region.FixedOff[:0], 0)
+			for _, i := range dirtyPos {
+				region.Dirty = append(region.Dirty, chunk[i])
+				region.Fixed = append(region.Fixed, fixed[fixedEnd[i]:fixedEnd[i+1]]...)
+				for _, j := range local[localEnd[i]:localEnd[i+1]] {
+					if k := slot[j]; k != 0 {
+						region.Local = append(region.Local, uint32(k-1))
+					} else {
+						region.Fixed = append(region.Fixed, colors[chunk[j]])
+					}
+				}
+				region.LocalOff = append(region.LocalOff, len(region.Local))
+				region.FixedOff = append(region.FixedOff, len(region.Fixed))
+				res.EdgesScanned += int64(localEnd[i+1] - localEnd[i])
+			}
+			for _, i := range dirtyPos {
+				slot[i] = 0
+			}
+			repaired, rounds = dynamic.RepairRegion(colors, &region, dOpts, uint64(c)+1)
 		})
 		res.Repaired += repaired
 		res.Rounds += rounds
-		for _, v := range dirty {
-			res.EdgesScanned += int64(g.Degree(v))
+		for _, v := range region.Dirty {
+			maxColor = max(maxColor, colors[v])
 		}
 	}
-	// The greedy sweep and the per-chunk detection each scan every
-	// surviving adjacency list exactly once.
-	res.EdgesScanned += 2 * g.NumArcs()
 	return colors, nil
 }

@@ -2,6 +2,7 @@ package speculate
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -93,6 +94,11 @@ func TestFullChunksMatchesJPADG(t *testing.T) {
 	}
 	if res.Conflicts != 0 || res.Fallback {
 		t.Fatalf("full chunking speculated nothing but conflicts=%d fallback=%v", res.Conflicts, res.Fallback)
+	}
+	// No arc joins two vertices of one chunk, so detection reads none
+	// and the run reads each arc twice: in the sweep and the final check.
+	if want := 2 * g.NumArcs(); res.EdgesScanned != want {
+		t.Errorf("EdgesScanned = %d, want %d", res.EdgesScanned, want)
 	}
 	ord, err := order.ADGContext(context.Background(), g, order.ADGOptions{
 		Epsilon: 0.01, Procs: 2, Seed: 3, Sorted: true,
@@ -225,5 +231,30 @@ func TestQualityTracksJPADG(t *testing.T) {
 			t.Errorf("%s: SPEC-ADG used %d colors, JP-ADG %d (limit %d)",
 				name, res.NumColors, jr.NumColors, limit)
 		}
+	}
+}
+
+// BenchmarkSPECADG times one SPEC-ADG run on kron:15, the cold_color
+// graph, at p 1 and 2, beside jp.BenchmarkJPADG and
+// spec.BenchmarkDECADGITR, and reports the speculate and repair phases
+// in ms per run.
+func BenchmarkSPECADG(b *testing.B) {
+	g := mustGraph(b)(gen.Kronecker(15, 16, 1, 0))
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("kron15-p%d", p), func(b *testing.B) {
+			var specSec, repairSec float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Color(g, Options{Procs: p, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				specSec += res.SpecSeconds
+				repairSec += res.RepairSeconds
+			}
+			b.ReportMetric(1e3*specSec/float64(b.N), "speculate-ms/op")
+			b.ReportMetric(1e3*repairSec/float64(b.N), "repair-ms/op")
+		})
 	}
 }
