@@ -5,11 +5,11 @@ import (
 	"repro/internal/par"
 )
 
-// Source abstracts merged adjacency access so the conflict-frontier
-// detector and the localized repair engine run over either a mutable
-// Overlay or a plain immutable CSR graph. Both *Overlay and
-// *graph.Graph satisfy it; the speculate-and-repair static engine
-// (internal/speculate) is the first plain-CSR client.
+// Source abstracts merged adjacency access so the localized repair
+// engine's gather runs over either a mutable Overlay or a plain
+// immutable CSR graph. Both *Overlay and *graph.Graph satisfy it; the
+// mutation path passes the Overlay, and a plain CSR graph is only a
+// test's source (SPEC-ADG builds its regions without a gather).
 type Source interface {
 	// NumVertices returns the current vertex count.
 	NumVertices() int

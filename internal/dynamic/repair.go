@@ -1,13 +1,13 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/jp"
-	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/par"
 	"repro/internal/verify"
@@ -342,13 +342,15 @@ var slotPool = sync.Pool{New: func() any { return new([]int32) }}
 // smallest color unused by any current neighbor, with adjacent dirty
 // vertices sequenced by the priority DAG).
 //
-// src is any adjacency source — the mutable Overlay on the mutation
-// path, a plain CSR graph on SPEC-ADG's defensive outer loop. The
-// ADG seed is mixed with salt so successive repairs draw fresh
-// tie-breaks while staying a deterministic function of (opts.Seed,
-// salt, dirty, colors): the result is bit-identical at any worker
-// count. dirty must be duplicate-free. It returns how many colors
-// actually changed and the localized JP pass's round count.
+// src is any adjacency source: the mutable Overlay on the mutation
+// path, or a plain CSR graph in tests. The region's ADG seed is
+// opts.Seed+salt, and the result is a deterministic function of
+// (opts.Seed, salt, dirty, colors), bit-identical at any worker count.
+// The repair orders by ADG-O, whose key is a vertex's unique position,
+// so the seed's tie-break permutation never decides the order: neither
+// seed nor salt changes the colors today. dirty must be duplicate-free.
+// It returns how many colors actually changed and the localized JP
+// pass's round count.
 //
 // Cost: O(vol(dirty)) reads and no per-call O(n) work. One sequential
 // gather pass reads each dirty vertex's merged neighborhood once and
@@ -432,17 +434,13 @@ func RepairRegion(colors []uint32, r *Region, opts Options, salt uint64) (repair
 	// The induced CSR is the transpose of the local lists: visiting the
 	// rows in order appends i to the row of each of its neighbors, so
 	// every row comes out sorted by local index, as graph.FromEdges
-	// would sort it, with no edge list and no sort. A vertex with k
-	// forbidden entries gets a color of at most k+1, so the mex sets
-	// are sized by the largest fixed-plus-local count, not by degree.
+	// would sort it, with no edge list and no sort.
 	offsets := make([]int64, nd+1)
 	for _, j := range r.Local {
 		offsets[j+1]++
 	}
-	maxForbidden := 0
 	for i := 0; i < nd; i++ {
 		offsets[i+1] += offsets[i]
-		maxForbidden = max(maxForbidden, r.LocalOff[i+1]-r.LocalOff[i]+r.FixedOff[i+1]-r.FixedOff[i])
 	}
 	adj := make([]uint32, len(r.Local))
 	cursor := slices.Clone(offsets[:nd])
@@ -456,72 +454,21 @@ func RepairRegion(colors []uint32, r *Region, opts Options, salt uint64) (repair
 	if err != nil {
 		panic(fmt.Sprintf("dynamic: repair region: %v", err))
 	}
-	// JP-ADG-style priorities on the dirty region.
+	// JP-ADG-style priorities on the dirty region, colored by the one JP
+	// loop with the fixed colors as each vertex's outside neighbors.
 	ord := order.ADG(sub, order.ADGOptions{
 		Epsilon: opts.Epsilon, Procs: p, Seed: opts.Seed + salt, Sorted: true,
 	})
-	// ADG-O fuses the JP in-degrees into its update (§V-C), and ord is
-	// ours alone, so its counts are released in place.
-	counts := ord.PredCount
-	frontier := par.Pack(p, nd, func(i int) bool { return counts[i] == 0 })
-
-	newCol := make([]uint32, nd)
-	type workerState struct {
-		mex  mex.Set
-		next []uint32
-	}
-	states := make([]*workerState, p)
-	for w := range states {
-		states[w] = &workerState{mex: mex.New(maxForbidden)}
-	}
-	nextCounts := make([]int32, p)
-	nextOffs := make([]int64, p+1)
-	for len(frontier) > 0 {
-		rounds++
-		fr := frontier
-		par.ForWorkers(p, len(fr), func(w, lo, hi int) {
-			st := states[w]
-			shared := lo != 0 || hi != len(fr) // see jp.ColorContext
-			for fi := lo; fi < hi; fi++ {
-				i := fr[fi]
-				st.mex.Reset()
-				for _, cu := range r.Fixed[r.FixedOff[i]:r.FixedOff[i+1]] {
-					st.mex.Forbid(cu)
-				}
-				// One scan, as in jp.ColorContext: a colored dirty
-				// neighbor is a predecessor, an uncolored one a
-				// successor to release.
-				for _, j := range sub.Neighbors(i) {
-					if cu := newCol[j]; cu != 0 {
-						st.mex.Forbid(cu)
-					} else if par.Join(&counts[j], shared) {
-						st.next = append(st.next, j)
-					}
-				}
-				newCol[i] = st.mex.Smallest()
-			}
-		})
-		// Deterministic frontier compaction in worker order (the same
-		// scheme as jp.ColorContext).
-		for w, st := range states {
-			nextCounts[w] = int32(len(st.next))
-		}
-		total := par.PrefixSumInt32(1, nextCounts, nextOffs)
-		nf := make([]uint32, total)
-		for w, st := range states {
-			copy(nf[nextOffs[w]:nextOffs[w+1]], st.next)
-			st.next = st.next[:0]
-		}
-		frontier = nf
-	}
-
+	// RepairRegion takes no context; ColorFixed's only error is the
+	// context's, which TODO never returns.
+	jr, _ := jp.ColorFixed(context.TODO(), sub, ord, p, r.FixedOff, r.Fixed)
 	for i, v := range r.Dirty {
-		if colors[v] != newCol[i] {
-			colors[v] = newCol[i]
+		if colors[v] != jr.Colors[i] {
+			colors[v] = jr.Colors[i]
 			repaired++
 		}
 	}
-	return repaired, rounds
+	return repaired, jr.Rounds
 }
 
 // checkDirtyProper asserts the repair invariant on the region it could

@@ -310,11 +310,12 @@ func TestRepairColorsNoPerCallOrderN(t *testing.T) {
 // BenchmarkRepairColors times the localized repair, gather included,
 // with one worker, in two shapes: a CSR conflict set (the 64
 // highest-degree vertices of a kron:15 graph reset to one shared color
-// over a JP-ADG coloring), the shape SPEC-ADG's defensive outer loop
-// would hand it, and the mutation path's (the dirty set of a 64-edge
-// batch on a kron:14 Overlay). SPEC-ADG's per-chunk repairs skip the
-// gather: they call RepairRegion on the lists their sweep kept, which
-// BenchmarkSPECADG in internal/speculate times.
+// over a JP-ADG coloring), a hub region like SPEC-ADG's first chunk,
+// and the mutation path's (the dirty set of a 64-edge batch on a
+// kron:14 Overlay). SPEC-ADG's per-chunk repairs skip the gather: they
+// call RepairRegion on the lists their sweep kept, which
+// BenchmarkSPECADG in internal/speculate times. Both shapes color
+// through jp's JP loop.
 func BenchmarkRepairColors(b *testing.B) {
 	b.Run("spec-kron15-top64", func(b *testing.B) {
 		g := mustGraph(b)(gen.Kronecker(15, 16, 1, 0))

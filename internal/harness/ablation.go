@@ -56,9 +56,7 @@ func Ablation(o Options) (string, error) {
 	}
 	t := &stats.Table{Header: []string{"ADG variant", "order time[s]", "rounds", "JP colors", "fused DAG"}}
 	for _, v := range variants {
-		var ord *order.Ordering
-		samples := stats.Bench(1, o.Trials, func() { ord = order.ADG(g, v.opts) })
-		s := stats.Summarize(samples)
+		ord, secs := medianOrdering(o.Trials, func() *order.Ordering { return order.ADG(g, v.opts) })
 		res := jp.Color(g, ord, o.Procs)
 		if err := verify.CheckProper(g, res.Colors); err != nil {
 			return "", fmt.Errorf("ablation %s: %v", v.name, err)
@@ -67,7 +65,7 @@ func Ablation(o Options) (string, error) {
 		if ord.PredCount != nil {
 			fused = "yes"
 		}
-		t.Add(v.name, s.Mean, ord.Iterations, res.NumColors, fused)
+		t.Add(v.name, secs, ord.Iterations, res.NumColors, fused)
 	}
 	head := fmt.Sprintf("SVI-J stand-in: ADG design-choice ablation on kron (n=%d m=%d), eps=%.2f\n",
 		g.NumVertices(), g.NumEdges(), o.Epsilon)

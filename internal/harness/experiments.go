@@ -22,9 +22,9 @@ type Options struct {
 	Seed uint64
 	// Epsilon is ADG's ε (the paper's Fig. 1 parametrization is 0.01).
 	Epsilon float64
-	// Trials is the number of timed repetitions per point. Sweep keeps
-	// the median-time run of an algorithm cell; table2 and ablation,
-	// which time orderings, print the mean.
+	// Trials is the number of timed runs per point. Every experiment
+	// reports the median-time run, the lower middle one for an even
+	// count.
 	Trials int
 }
 
@@ -112,15 +112,13 @@ func TableII(o Options) (string, error) {
 	}
 	t := &stats.Table{Header: []string{"ordering", "rounds", "time[s]", "max-back-nbrs", "measured k", "guaranteed k"}}
 	for _, e := range entries {
-		var ord *order.Ordering
-		samples := stats.Bench(1, o.Trials, func() { ord = e.mk() })
-		s := stats.Summarize(samples)
+		ord, secs := medianOrdering(o.Trials, e.mk)
 		back := order.MaxEqualOrHigherRankNeighbors(g, ord.Rank)
 		measured := "n/a"
 		if d > 0 {
 			measured = stats.FormatFloat(float64(back) / float64(d))
 		}
-		t.Add(e.name, ord.Iterations, s.Mean, back, measured, e.bound)
+		t.Add(e.name, ord.Iterations, secs, back, measured, e.bound)
 	}
 	head := fmt.Sprintf("Table II stand-in: ordering heuristics on kron (n=%d m=%d d=%d), eps=%.2f\n",
 		g.NumVertices(), g.NumEdges(), d, eps)

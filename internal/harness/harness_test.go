@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/order"
 	"repro/internal/verify"
 )
 
@@ -293,6 +295,26 @@ func TestSweepKeepsMedianRun(t *testing.T) {
 		if want := kcore.Degeneracy(g) + 1; r.Bound != want || r.BoundOK {
 			t.Errorf("over-bound run: bound %d ok %v, want %d and false", r.Bound, r.BoundOK, want)
 		}
+	}
+}
+
+// TestMedianOrderingKeepsMedianRun checks that table2's and ablation's
+// ordering timer reports the median-time run and that run's ordering.
+// The runs sleep 100, 0 and 50 ms, far enough apart that scheduling
+// noise cannot reorder them.
+func TestMedianOrderingKeepsMedianRun(t *testing.T) {
+	sleeps := []time.Duration{100 * time.Millisecond, 0, 50 * time.Millisecond}
+	calls := 0
+	ord, secs := medianOrdering(len(sleeps), func() *order.Ordering {
+		time.Sleep(sleeps[calls])
+		calls++
+		return &order.Ordering{Iterations: calls}
+	})
+	if calls != len(sleeps) {
+		t.Fatalf("%d builds, want %d", calls, len(sleeps))
+	}
+	if ord.Iterations != 3 || secs < 0.05 || secs >= 0.1 {
+		t.Fatalf("kept build %d (%g s), want build 3 (50 ms)", ord.Iterations, secs)
 	}
 }
 

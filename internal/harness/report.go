@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/order"
 	"repro/internal/verify"
 )
 
@@ -57,11 +58,10 @@ type Record struct {
 
 // Sweep runs every cell of graphs × algorithms × configs trials times
 // through RunChecked and returns one Record per cell, graph-major, then
-// by algorithm, then by config. A cell keeps its median-time run (the
-// lower middle one for an even trial count). The degeneracy behind the
-// quality bound is computed once per graph. A run error or an improper
-// coloring fails the whole sweep; a coloring over its bound does not,
-// it is recorded with BoundOK false.
+// by algorithm, then by config. A cell keeps its median-time run
+// (medianRun). The degeneracy behind the quality bound is computed once
+// per graph. A run error or an improper coloring fails the whole sweep;
+// a coloring over its bound does not, it is recorded with BoundOK false.
 func Sweep(graphs []BuiltGraph, algorithms []Algorithm, configs []Config, trials int) ([]Record, error) {
 	if trials < 1 {
 		trials = 1
@@ -104,12 +104,35 @@ func Sweep(graphs []BuiltGraph, algorithms []Algorithm, configs []Config, trials
 						GoMaxProcs:      goMaxProcs,
 					}
 				}
-				sort.Slice(runs, func(i, j int) bool { return runs[i].Seconds < runs[j].Seconds })
-				out = append(out, runs[(trials-1)/2])
+				out = append(out, medianRun(runs, func(r Record) float64 { return r.Seconds }))
 			}
 		}
 	}
 	return out, nil
+}
+
+// medianRun returns the median-time run of runs, the lower middle one
+// for an even count, sorting runs by time. It is the one timing rule of
+// every experiment: Sweep keeps each algorithm cell's median run, and
+// medianOrdering each ordering's.
+func medianRun[T any](runs []T, seconds func(T) float64) T {
+	sort.Slice(runs, func(i, j int) bool { return seconds(runs[i]) < seconds(runs[j]) })
+	return runs[(len(runs)-1)/2]
+}
+
+// medianOrdering runs build trials times (at least once) and returns the
+// median-time run's ordering and its time in seconds.
+func medianOrdering(trials int, build func() *order.Ordering) (*order.Ordering, float64) {
+	type run struct {
+		ord     *order.Ordering
+		seconds float64
+	}
+	runs := make([]run, max(trials, 1))
+	for i := range runs {
+		runs[i].seconds = timed(func() { runs[i].ord = build() })
+	}
+	m := medianRun(runs, func(r run) float64 { return r.seconds })
+	return m.ord, m.seconds
 }
 
 // MatrixReport is the family × algorithm × worker-count sweep of

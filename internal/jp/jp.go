@@ -1,6 +1,9 @@
-// Package jp implements the Jones–Plassmann coloring engine of Algorithm 3
-// and its combinations with every ordering of Table III class 3:
-// JP-FF, JP-R, JP-LF, JP-LLF, JP-SL, JP-SLL, JP-ASL, JP-ADG and JP-ADG-M.
+// Package jp implements the Jones–Plassmann coloring engine of Algorithm 3,
+// the one JP loop of the codebase: every ordering of Table III class 3
+// (JP-FF, JP-R, JP-LF, JP-LLF, JP-SL, JP-SLL, JP-ASL, JP-ADG and
+// JP-ADG-M, built in internal/order and paired with it by the harness
+// registry), the fallback of SPEC-ADG and the localized repair of
+// internal/dynamic all color through it.
 //
 // The engine colors the DAG Gρ induced by a priority order: a vertex is
 // colored with the smallest color unused by its predecessors once all of
@@ -61,6 +64,16 @@ func Color(g *graph.Graph, ord *order.Ordering, p int) *Result {
 // within one round instead of running to completion. On cancellation the
 // partial coloring is discarded and ctx.Err() is returned.
 func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int) (*Result, error) {
+	return ColorFixed(ctx, g, ord, p, nil, nil)
+}
+
+// ColorFixed is ColorContext on a g cut out of a larger graph whose
+// other vertices keep their colors: fixed[fixedOff[v]:fixedOff[v+1]]
+// are the colors v's neighbors outside g hold (repeats allowed, in
+// dynamic.Region's layout), and v avoids them as well as its
+// predecessors' colors. A nil fixedOff means g has no outside
+// neighbors.
+func ColorFixed(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int, fixedOff []int, fixed []uint32) (*Result, error) {
 	n := g.NumVertices()
 	if p <= 0 {
 		p = par.DefaultProcs()
@@ -84,11 +97,18 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 	// Roots: vertices with no predecessors.
 	frontier := par.Pack(p, n, func(v int) bool { return counts[v] == 0 })
 
-	// Per-worker scratch.
-	maxDeg := g.MaxDegree()
+	// Per-worker scratch. A vertex with k forbidden entries gets a color
+	// of at most k+1, so the mex sets are sized by the largest degree
+	// plus fixed count.
+	maxForbidden := g.MaxDegree()
+	if fixedOff != nil {
+		for v := range n {
+			maxForbidden = max(maxForbidden, g.Degree(uint32(v))+fixedOff[v+1]-fixedOff[v])
+		}
+	}
 	states := make([]*workerState, p)
 	for w := range states {
-		states[w] = &workerState{mex: mex.New(maxDeg)}
+		states[w] = &workerState{mex: mex.New(maxForbidden)}
 	}
 
 	colors := res.Colors
@@ -123,6 +143,11 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 				// nonzero color is forbidden and a zero one marks a
 				// successor to release.
 				st.mex.Reset()
+				if fixedOff != nil {
+					for _, c := range fixed[fixedOff[v]:fixedOff[v+1]] {
+						st.mex.Forbid(c)
+					}
+				}
 				ns := g.Neighbors(v)
 				st.edges += int64(len(ns))
 				for _, u := range ns {
@@ -139,21 +164,19 @@ func ColorContext(ctx context.Context, g *graph.Graph, ord *order.Ordering, p in
 			}
 		})
 		// Collect the next frontier: per-worker buffers are compacted with
-		// an exclusive PrefixSum over their lengths and copied in parallel,
-		// in block order — the output is a deterministic function of the
-		// round's blocking, independent of scheduling.
+		// an exclusive PrefixSum over their lengths and copied in block
+		// order — the output is a deterministic function of the round's
+		// blocking, independent of scheduling. The copy runs inline: it
+		// loops over p buffers, far below the pool's sequential grain.
 		for w, st := range states {
 			nextCounts[w] = int32(len(st.next))
 		}
 		total := par.PrefixSumInt32(1, nextCounts, nextOffs)
 		nf := make([]uint32, total)
-		par.ForBlocks(p, len(states), func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				st := states[w]
-				copy(nf[nextOffs[w]:nextOffs[w+1]], st.next)
-				st.next = st.next[:0]
-			}
-		})
+		for w, st := range states {
+			copy(nf[nextOffs[w]:nextOffs[w+1]], st.next)
+			st.next = st.next[:0]
+		}
 		frontier = nf
 	}
 	for _, st := range states {

@@ -1,6 +1,8 @@
 package jp
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,33 +11,60 @@ import (
 	"repro/internal/kcore"
 	"repro/internal/order"
 	"repro/internal/verify"
+	"repro/internal/xrand"
 )
 
+// variant is one JP-X scheme: the ordering JP colors by, built from the
+// worker count p, the seed and ADG's ε.
 type variant struct {
-	name string
-	run  func(*graph.Graph, Options) (*Result, *order.Ordering)
+	name  string
+	order func(g *graph.Graph, p int, seed uint64, eps float64) *order.Ordering
+}
+
+// run colors g by the variant's ordering with p workers.
+func (va variant) run(g *graph.Graph, p int, seed uint64, eps float64) *Result {
+	return Color(g, va.order(g, p, seed, eps), p)
 }
 
 func variants() []variant {
-	return []variant{
-		{"JP-FF", FF},
-		{"JP-R", R},
-		{"JP-LF", LF},
-		{"JP-LLF", LLF},
-		{"JP-SL", SL},
-		{"JP-SLL", SLL},
-		{"JP-ASL", ASL},
-		{"JP-ADG", ADG},
-		{"JP-ADG-M", ADGM},
-		{"JP-ADG-O", func(g *graph.Graph, o Options) (*Result, *order.Ordering) {
-			o.Optimized = true
-			return ADG(g, o)
-		}},
-		{"JP-ADG-M-O", func(g *graph.Graph, o Options) (*Result, *order.Ordering) {
-			o.Optimized = true
-			return ADGM(g, o)
-		}},
+	// ADG-M ignores ε.
+	adg := func(median, sorted bool) func(*graph.Graph, int, uint64, float64) *order.Ordering {
+		return func(g *graph.Graph, p int, seed uint64, eps float64) *order.Ordering {
+			return order.ADG(g, order.ADGOptions{Epsilon: eps, Median: median, Procs: p, Seed: seed, Sorted: sorted})
+		}
 	}
+	return []variant{
+		{"JP-FF", func(g *graph.Graph, _ int, _ uint64, _ float64) *order.Ordering { return order.FirstFit(g) }},
+		{"JP-R", func(g *graph.Graph, _ int, seed uint64, _ float64) *order.Ordering { return order.Random(g, seed) }},
+		{"JP-LF", func(g *graph.Graph, _ int, seed uint64, _ float64) *order.Ordering {
+			return order.LargestFirst(g, seed)
+		}},
+		{"JP-LLF", func(g *graph.Graph, _ int, seed uint64, _ float64) *order.Ordering {
+			return order.LargestLogFirst(g, seed)
+		}},
+		{"JP-SL", func(g *graph.Graph, _ int, _ uint64, _ float64) *order.Ordering { return order.SmallestLast(g) }},
+		{"JP-SLL", func(g *graph.Graph, p int, seed uint64, _ float64) *order.Ordering {
+			return order.SmallestLogLast(g, seed, p)
+		}},
+		{"JP-ASL", func(g *graph.Graph, p int, seed uint64, _ float64) *order.Ordering {
+			return order.ApproxSmallestLast(g, seed, p)
+		}},
+		{"JP-ADG", adg(false, false)},
+		{"JP-ADG-M", adg(true, false)},
+		{"JP-ADG-O", adg(false, true)},
+		{"JP-ADG-M-O", adg(true, true)},
+	}
+}
+
+// lookup returns the variant called name.
+func lookup(t testing.TB, name string) variant {
+	for _, va := range variants() {
+		if va.name == name {
+			return va
+		}
+	}
+	t.Fatalf("no variant %s", name)
+	return variant{}
 }
 
 func testGraphs(t testing.TB) map[string]*graph.Graph {
@@ -67,7 +96,7 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 func TestAllVariantsProduceProperColorings(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		for _, va := range variants() {
-			res, _ := va.run(g, Options{Procs: 2, Seed: 42, Epsilon: 0.1})
+			res := va.run(g, 2, 42, 0.1)
 			if err := verify.CheckProper(g, res.Colors); err != nil {
 				t.Errorf("%s/%s: %v", gname, va.name, err)
 			}
@@ -82,7 +111,7 @@ func TestQualityGuarantees(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		d := kcore.Degeneracy(g)
 		for _, va := range variants() {
-			res, _ := va.run(g, Options{Procs: 2, Seed: 7, Epsilon: eps})
+			res := va.run(g, 2, 7, eps)
 			bound := verify.QualityBound(va.name, g, d, eps)
 			if err := verify.AssertBound(va.name, res.NumColors, bound); err != nil {
 				t.Errorf("%s: %v (d=%d, Δ=%d)", gname, err, d, g.MaxDegree())
@@ -96,33 +125,34 @@ func TestChromaticOptimaOnStructuredGraphs(t *testing.T) {
 	// degeneracy orders do. Check known-chromatic structures where the d+1
 	// guarantee pins the answer exactly.
 	g := testGraphs(t)
+	sl, adg, r := lookup(t, "JP-SL"), lookup(t, "JP-ADG"), lookup(t, "JP-R")
 	// Even cycle: d=2 so JP-SL ≤ 3; chromatic number 2.
-	res, _ := SL(g["cycle-even"], Options{Procs: 2})
+	res := sl.run(g["cycle-even"], 2, 0, 0)
 	if res.NumColors > 3 {
 		t.Errorf("even cycle: JP-SL used %d colors", res.NumColors)
 	}
 	// Odd cycle: chromatic number 3, JP-SL ≤ d+1 = 3.
-	res, _ = SL(g["cycle-odd"], Options{Procs: 2})
+	res = sl.run(g["cycle-odd"], 2, 0, 0)
 	if res.NumColors != 3 {
 		t.Errorf("odd cycle: JP-SL used %d colors, want 3", res.NumColors)
 	}
 	// Clique K25 needs exactly 25.
-	res, _ = ADG(g["clique"], Options{Procs: 2, Epsilon: 0.1})
+	res = adg.run(g["clique"], 2, 0, 0.1)
 	if res.NumColors != 25 {
 		t.Errorf("K25: %d colors, want 25", res.NumColors)
 	}
 	// Star: d=1, JP-SL ≤ 2.
-	res, _ = SL(g["star"], Options{Procs: 2})
+	res = sl.run(g["star"], 2, 0, 0)
 	if res.NumColors != 2 {
 		t.Errorf("star: JP-SL used %d colors, want 2", res.NumColors)
 	}
 	// Edgeless: one color.
-	res, _ = R(g["edgeless"], Options{Procs: 2, Seed: 1})
+	res = r.run(g["edgeless"], 2, 1, 0)
 	if res.NumColors != 1 {
 		t.Errorf("edgeless: %d colors, want 1", res.NumColors)
 	}
 	// Empty graph: zero colors, no crash.
-	res, _ = ADG(g["empty"], Options{Procs: 2})
+	res = adg.run(g["empty"], 2, 0, 0)
 	if res.NumColors != 0 || len(res.Colors) != 0 {
 		t.Error("empty graph mishandled")
 	}
@@ -184,32 +214,77 @@ func TestFusedPredCountMatchesUnfused(t *testing.T) {
 
 func TestSequentialGreedyEquivalence(t *testing.T) {
 	// With FF priorities, JP computes exactly the sequential first-fit
-	// greedy coloring (same colors as a left-to-right scan).
+	// greedy coloring (same colors as a left-to-right scan), also when
+	// each vertex must avoid fixed colors held outside the graph.
 	g := testGraphs(t)["er"]
-	res, _ := FF(g, Options{Procs: 2})
 	n := g.NumVertices()
-	want := make([]uint32, n)
-	forbidden := make([]bool, g.MaxDegree()+2)
-	for v := 0; v < n; v++ {
-		for i := range forbidden {
-			forbidden[i] = false
+	// firstFit is the left-to-right scan, each vertex also avoiding
+	// fixed[fixedOff[v]:fixedOff[v+1]] (none when fixedOff is nil).
+	firstFit := func(fixedOff []int, fixed []uint32) []uint32 {
+		want := make([]uint32, n)
+		for v := 0; v < n; v++ {
+			taken := map[uint32]bool{}
+			if fixedOff != nil {
+				for _, c := range fixed[fixedOff[v]:fixedOff[v+1]] {
+					taken[c] = true
+				}
+			}
+			for _, u := range g.Neighbors(uint32(v)) {
+				if u < uint32(v) {
+					taken[want[u]] = true
+				}
+			}
+			c := uint32(1)
+			for taken[c] {
+				c++
+			}
+			want[v] = c
 		}
-		for _, u := range g.Neighbors(uint32(v)) {
-			if u < uint32(v) && int(want[u]) < len(forbidden) {
-				forbidden[want[u]] = true
+		return want
+	}
+	check := func(t *testing.T, got, want []uint32) {
+		t.Helper()
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("JP-FF differs from sequential greedy at %d: %d vs %d", v, got[v], want[v])
 			}
 		}
-		c := uint32(1)
-		for forbidden[c] {
-			c++
-		}
-		want[v] = c
 	}
+	t.Run("plain", func(t *testing.T) {
+		check(t, Color(g, order.FirstFit(g), 2).Colors, firstFit(nil, nil))
+	})
+
+	// Random fixed colors, up to Δ+3 per vertex and up to color Δ+4;
+	// vertex 0 holds Δ+2 distinct ones, 1..Δ+2, more than a mex set
+	// sized by degree alone tracks, so it must take color Δ+3.
+	maxDeg := g.MaxDegree()
+	rng := xrand.New(17)
+	fixedOff := make([]int, n+1)
+	var fixed []uint32
 	for v := 0; v < n; v++ {
-		if res.Colors[v] != want[v] {
-			t.Fatalf("JP-FF differs from sequential greedy at %d: %d vs %d",
-				v, res.Colors[v], want[v])
+		if v == 0 {
+			for c := maxDeg + 2; c >= 1; c-- {
+				fixed = append(fixed, uint32(c))
+			}
+		} else {
+			for k := rng.Intn(maxDeg + 4); k > 0; k-- {
+				fixed = append(fixed, uint32(rng.Intn(maxDeg+4)+1))
+			}
 		}
+		fixedOff[v+1] = len(fixed)
+	}
+	want := firstFit(fixedOff, fixed)
+	if want[0] != uint32(maxDeg+3) {
+		t.Fatalf("fixture: vertex 0 gets color %d, want Δ+3 = %d", want[0], maxDeg+3)
+	}
+	for _, p := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("fixed/p=%d", p), func(t *testing.T) {
+			res, err := ColorFixed(context.Background(), g, order.FirstFit(g), p, fixedOff, fixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, res.Colors, want)
+		})
 	}
 }
 
@@ -221,8 +296,8 @@ func TestADGQualityBeatsRandomOnLowDegeneracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adg, _ := ADG(g, Options{Procs: 2, Seed: 3, Epsilon: 0.1})
-	r, _ := R(g, Options{Procs: 2, Seed: 3})
+	adg := lookup(t, "JP-ADG").run(g, 2, 3, 0.1)
+	r := lookup(t, "JP-R").run(g, 2, 3, 0)
 	if adg.NumColors > r.NumColors {
 		t.Errorf("JP-ADG (%d colors) worse than JP-R (%d colors)", adg.NumColors, r.NumColors)
 	}
@@ -262,7 +337,7 @@ func TestRandomGraphProperty(t *testing.T) {
 		}
 		vs := variants()
 		va := vs[int(pick)%len(vs)]
-		res, _ := va.run(g, Options{Procs: 2, Seed: seed, Epsilon: 0.3})
+		res := va.run(g, 2, seed, 0.3)
 		if !verify.IsProper(g, res.Colors, 2) {
 			return false
 		}
@@ -280,7 +355,7 @@ func BenchmarkJPADG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ADG(g, Options{Epsilon: 0.01, Seed: 1})
+		Color(g, order.ADG(g, order.ADGOptions{Epsilon: 0.01, Seed: 1}), 0)
 	}
 }
 

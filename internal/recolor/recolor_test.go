@@ -7,12 +7,13 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/jp"
+	"repro/internal/order"
 	"repro/internal/verify"
 )
 
 func baseColoring(t *testing.T, g *graph.Graph) []uint32 {
 	t.Helper()
-	res, _ := jp.R(g, jp.Options{Procs: 2, Seed: 1})
+	res := jp.Color(g, order.Random(g, 1), 2)
 	return res.Colors
 }
 
@@ -124,7 +125,7 @@ func TestProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, _ := jp.R(g, jp.Options{Procs: 1, Seed: seed})
+		res := jp.Color(g, order.Random(g, seed), 1)
 		out, err := IteratedGreedy(g, res.Colors, Strategy(sRaw%3), 4, seed)
 		if err != nil {
 			return false

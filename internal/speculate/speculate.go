@@ -21,20 +21,20 @@
 //     sweep keeps each vertex's same-chunk neighbors, so each chunk
 //     pass is followed by a scan that reads exactly the within-chunk
 //     edges; the whole-graph form, dynamic.ConflictFrontier, re-checks
-//     the final coloring in one parallel pass and drives the defensive
-//     outer loop;
+//     the final coloring once in one parallel pass;
 //  3. repair: dynamic.RepairRegion — the localized JP-over-ADG repair
-//     the mutation path uses, without its gather — recolors exactly
-//     the conflict set immediately after the chunk that produced it
-//     (so later chunks constrain against repaired colors and the
-//     greedy palette stays tight). It reads only the chunk's lists:
-//     the dirty vertices' same-chunk neighbors and the fixed colors
-//     the sweep listed for them. One pass leaves the chunk proper by
-//     construction; the outer loop iterates defensively, through
-//     dynamic.RepairColors, under a round cap, falling back to a full
-//     JP-ADG recolor (over the already-computed ordering) if the cap
-//     trips or the conflict set is too large a fraction of the graph
-//     for localized repair to beat recoloring.
+//     the mutation path uses, without its gather, coloring through
+//     jp's one JP loop — recolors exactly the conflict set immediately
+//     after the chunk that produced it (so later chunks constrain
+//     against repaired colors and the greedy palette stays tight). It
+//     reads only the chunk's lists: the dirty vertices' same-chunk
+//     neighbors and the fixed colors the sweep listed for them. One
+//     pass leaves the chunk proper by construction. A chunk whose
+//     conflict set is too large a fraction of the graph for localized
+//     repair to beat recoloring stops the sweep instead; the final
+//     check then finds those conflicts, and any conflict it finds
+//     makes the engine fall back to a full JP-ADG recolor over the
+//     already-computed ordering.
 //
 // Determinism: the ADG order, the chunked greedy sweep, the packed
 // conflict frontier and the repair are each deterministic functions of
@@ -70,13 +70,16 @@ import (
 
 // Options parameterizes a run. The zero value selects the paper-style
 // evaluation settings: ε = 0.01, GOMAXPROCS workers, seed 0, 128
-// speculation chunks, a 4-iteration repair cap and a 25% conflict
-// fraction fallback (the dynamic engine's threshold).
+// speculation chunks and a 25% conflict fraction fallback (the dynamic
+// engine's threshold).
 type Options struct {
 	// Procs is the worker count (<= 0: GOMAXPROCS).
 	Procs int
-	// Seed fixes all randomness; equal seeds give bit-identical
-	// colorings at any Procs.
+	// Seed seeds the ADG orderings of the run and of its chunk
+	// repairs. Equal seeds give bit-identical colorings at any Procs.
+	// ADG-O's key is a vertex's unique position, so the seed's
+	// tie-break permutation never decides an order, and every seed
+	// gives the same coloring today.
 	Seed uint64
 	// Epsilon is the ADG ε for both the speculation priorities and the
 	// repair/fallback orderings (0 selects 0.01).
@@ -89,11 +92,6 @@ type Options struct {
 	// edge is speculated away, a stress configuration that exists to
 	// exercise the fallback.
 	SpecChunks int
-	// MaxRepairRounds caps detect+repair iterations before the engine
-	// falls back to a full JP-ADG recolor (0 selects 4; negative
-	// disables the cap). One iteration suffices — the repair is proper
-	// by construction — so the cap is a safety net.
-	MaxRepairRounds int
 	// FallbackFraction bounds the localized path: when the conflict
 	// set exceeds this fraction of the vertices, a full JP-ADG recolor
 	// replaces the repair (0 selects 0.25; negative disables fallback).
@@ -110,9 +108,6 @@ func (o Options) withDefaults() Options {
 	if o.SpecChunks <= 0 {
 		o.SpecChunks = 128
 	}
-	if o.MaxRepairRounds == 0 {
-		o.MaxRepairRounds = 4
-	}
 	if o.FallbackFraction == 0 {
 		o.FallbackFraction = 0.25
 	}
@@ -127,11 +122,11 @@ type Result struct {
 	NumColors int
 	// SpecChunks is the number of speculative chunk passes that ran.
 	SpecChunks int
-	// RepairRounds is the number of detect+repair iterations that ran
-	// (excluding the final empty-frontier detection pass).
+	// RepairRounds is the number of chunk repairs that ran: one per
+	// chunk whose sweep left a conflict.
 	RepairRounds int
-	// Conflicts is the total number of dirty vertices handed to repair
-	// across all iterations — the speculation's miss count.
+	// Conflicts is the total number of dirty vertices handed to the
+	// chunk repairs — the speculation's miss count.
 	Conflicts int64
 	// Repaired is how many of those actually changed color.
 	Repaired int
@@ -157,8 +152,8 @@ type Result struct {
 	OrderIterations int
 	// EdgesScanned counts the directed arcs the run reads (the work
 	// proxy of RunResult): every arc of each swept chunk, the
-	// within-chunk lists that detection and repair read, each
-	// whole-graph check, and any defensive repair or fallback.
+	// within-chunk lists that detection and repair read, the
+	// whole-graph check, and the fallback if it ran.
 	EdgesScanned int64
 }
 
@@ -174,15 +169,14 @@ func Color(g *graph.Graph, opts Options) (*Result, error) {
 	return ColorContext(context.Background(), g, opts)
 }
 
-// ColorContext runs speculate → detect → repair until the coloring is
-// proper, cooperatively checking ctx once per parallel phase. The
-// returned coloring is always proper (the repair invariant is verified
-// by every caller through harness.RunChecked; the engine itself
-// guarantees it by construction).
+// ColorContext runs speculate → detect → repair chunk by chunk, then
+// checks the whole coloring once, cooperatively checking ctx once per
+// parallel phase. The returned coloring is always proper (the repair
+// invariant is verified by every caller through harness.RunChecked; the
+// engine itself guarantees it by construction).
 func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	p := opts.Procs
-	n := g.NumVertices()
 	res := &Result{}
 
 	var ord *order.Ordering
@@ -202,52 +196,26 @@ func ColorContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		return nil, err
 	}
 
-	// Defensive outer loop. The per-chunk repair already left the
-	// coloring proper unless a chunk bailed out on the fraction bound,
-	// so the common path is one clean whole-graph detection pass.
-	for iter := 0; ; iter++ {
-		if err := par.CtxErr(ctx); err != nil {
+	// One whole-graph check. Each chunk repair left the coloring proper,
+	// so a conflict here means a chunk stopped the sweep on the fraction
+	// bound, and JP-ADG recolors the whole graph.
+	if err := par.CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	var conflict bool
+	res.SpecSeconds += timed(func() { conflict = len(dynamic.ConflictFrontier(g, colors, p)) > 0 })
+	res.Rounds++
+	res.EdgesScanned += g.NumArcs()
+	if conflict {
+		var jr *jp.Result
+		res.FallbackSeconds = timed(func() { jr, err = jp.ColorContext(ctx, g, ord, p) })
+		if err != nil {
 			return nil, err
 		}
-		var dirty []uint32
-		res.SpecSeconds += timed(func() { dirty = dynamic.ConflictFrontier(g, colors, p) })
-		res.Rounds++
-		res.EdgesScanned += g.NumArcs()
-		if len(dirty) == 0 {
-			break
-		}
-		tooMany := opts.FallbackFraction >= 0 &&
-			float64(len(dirty)) > opts.FallbackFraction*float64(n)
-		capped := opts.MaxRepairRounds >= 0 && iter >= opts.MaxRepairRounds
-		if tooMany || capped {
-			var jr *jp.Result
-			var jerr error
-			res.FallbackSeconds += timed(func() { jr, jerr = jp.ColorContext(ctx, g, ord, p) })
-			if jerr != nil {
-				return nil, jerr
-			}
-			colors = jr.Colors
-			res.Fallback = true
-			res.Rounds += jr.Rounds
-			res.EdgesScanned += jr.EdgesScanned
-			break
-		}
-		res.RepairRounds++
-		res.Conflicts += int64(len(dirty))
-		var repaired, rounds int
-		res.RepairSeconds += timed(func() {
-			repaired, rounds = dynamic.RepairColors(g, colors, dirty,
-				dynamic.Options{Procs: p, Seed: opts.Seed, Epsilon: opts.Epsilon},
-				// Salt repairs past the chunk range so every repair in the
-				// run draws fresh tie-breaks while the whole run stays a
-				// pure function of the seed.
-				uint64(opts.SpecChunks+iter)+1)
-		})
-		res.Repaired += repaired
-		res.Rounds += rounds
-		for _, v := range dirty {
-			res.EdgesScanned += int64(g.Degree(v))
-		}
+		colors = jr.Colors
+		res.Fallback = true
+		res.Rounds += jr.Rounds
+		res.EdgesScanned += jr.EdgesScanned
 	}
 
 	res.Colors = colors
@@ -288,8 +256,8 @@ type sweepBlock struct {
 // lists, and the chunk's localized repair gets its region from them
 // too, so no adjacency list is read twice and later chunks are
 // constrained by final (repaired) colors. If a chunk's conflict set
-// exceeds the fallback fraction the sweep bails out early and leaves
-// the decision to the caller's outer loop.
+// exceeds the fallback fraction the sweep stops early and leaves the
+// conflicts to the caller's whole-graph check, which falls back.
 func speculateColors(ctx context.Context, g *graph.Graph, ord *order.Ordering, opts Options, res *Result) ([]uint32, error) {
 	p := opts.Procs
 	n := g.NumVertices()

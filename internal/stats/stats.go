@@ -1,7 +1,7 @@
-// Package stats provides the measurement methodology of §VI-A — repeated
-// timed runs with warmup exclusion, arithmetic means and 95% confidence
-// intervals — plus the Dolan–Moré performance profiles [103] used for
-// Fig. 5 and fixed-width table/series formatting for the harness output.
+// Package stats provides the Dolan–Moré performance profiles [103] used
+// for Fig. 5 and the fixed-width table formatting of the harness output.
+// Timing follows one rule, kept by the harness: an experiment runs each
+// point its trial count of times and reports the median-time run.
 package stats
 
 import (
@@ -11,65 +11,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Sample summarizes a set of repeated measurements.
-type Sample struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	// CI95 is the half-width of the 95% confidence interval of the mean
-	// (normal approximation; the paper uses non-parametric CIs, which
-	// coincide closely at these sample sizes).
-	CI95 float64
-}
-
-// Summarize computes a Sample from raw values.
-func Summarize(values []float64) Sample {
-	s := Sample{N: len(values)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = values[0], values[0]
-	sum := 0.0
-	for _, v := range values {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, v := range values {
-			d := v - s.Mean
-			ss += d * d
-		}
-		s.StdDev = math.Sqrt(ss / float64(s.N-1))
-		s.CI95 = 1.96 * s.StdDev / math.Sqrt(float64(s.N))
-	}
-	return s
-}
-
-// Bench times fn over trials runs after warmup extra runs and returns the
-// per-run durations in seconds. This mirrors the paper's methodology of
-// excluding the first measurements as warmup (§VI-A).
-func Bench(warmup, trials int, fn func()) []float64 {
-	for i := 0; i < warmup; i++ {
-		fn()
-	}
-	out := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		start := time.Now()
-		fn()
-		out[i] = time.Since(start).Seconds()
-	}
-	return out
-}
 
 // ProfilePoint is one (τ, fraction) point of a performance profile.
 type ProfilePoint struct {

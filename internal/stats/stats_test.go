@@ -7,46 +7,6 @@ import (
 	"time"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("summary=%+v", s)
-	}
-	wantSD := math.Sqrt(2.5)
-	if math.Abs(s.StdDev-wantSD) > 1e-12 {
-		t.Fatalf("stddev=%v want %v", s.StdDev, wantSD)
-	}
-	if s.CI95 <= 0 {
-		t.Fatal("CI95 not positive")
-	}
-}
-
-func TestSummarizeEdgeCases(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatal("empty summary wrong")
-	}
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.StdDev != 0 || s.CI95 != 0 {
-		t.Fatalf("singleton summary=%+v", s)
-	}
-}
-
-func TestBenchRunsCorrectCounts(t *testing.T) {
-	count := 0
-	vals := Bench(2, 5, func() { count++ })
-	if count != 7 {
-		t.Fatalf("fn ran %d times, want 7", count)
-	}
-	if len(vals) != 5 {
-		t.Fatalf("got %d samples", len(vals))
-	}
-	for _, v := range vals {
-		if v < 0 {
-			t.Fatal("negative duration")
-		}
-	}
-}
-
 func TestPerfProfileBasic(t *testing.T) {
 	// Solver A best on both instances; B within 2x.
 	results := map[string][]float64{
