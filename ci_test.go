@@ -41,7 +41,7 @@ func TestWorkflowParses(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(data)
-	for _, want := range []string{"name: CI", "on:", "jobs:", "test:", "bench-smoke:", "loadtest:", "crash-recovery:", "cluster-smoke:"} {
+	for _, want := range []string{"name: CI", "on:", "jobs:", "test:", "bench-smoke:", "loadtest:", "crash-recovery:", "cluster-smoke:", "colordbench:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("ci.yml missing %q", want)
 		}

@@ -29,8 +29,9 @@
 //	curl -s localhost:8712/v1/graphs
 //
 // Color a graph (any algorithm of parcolor.Algorithms(); epsilon
-// defaults to 0.01, procs to GOMAXPROCS; set includeColors for the full
-// array; timeoutMillis for a per-request deadline):
+// defaults to 0.01, procs to a fair share of the cores, GOMAXPROCS
+// divided by the runs in flight; set includeColors for the full array;
+// timeoutMillis for a per-request deadline):
 //
 //	curl -s -X POST localhost:8712/v1/color \
 //	     -d '{"graph":"kron12","algorithm":"JP-ADG","seed":1}'

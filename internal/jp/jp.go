@@ -16,6 +16,7 @@ package jp
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mex"
@@ -41,7 +42,8 @@ type Result struct {
 }
 
 // workerState is per-worker scratch: GetColor's forbidden set and the
-// vertices this worker released for the next round.
+// vertices this worker released for the next round. The tail of next
+// past its length is the successor buffer of the vertex being colored.
 type workerState struct {
 	mex   mex.Set
 	next  []uint32
@@ -106,16 +108,19 @@ func ColorFixed(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int,
 			maxForbidden = max(maxForbidden, g.Degree(uint32(v))+fixedOff[v+1]-fixedOff[v])
 		}
 	}
-	states := make([]*workerState, p)
+	states := make([]workerState, p)
 	for w := range states {
-		states[w] = &workerState{mex: mex.New(maxForbidden)}
+		states[w].mex = mex.New(maxForbidden)
 	}
 
 	colors := res.Colors
 	// Per-round scratch, hoisted: the weight prefix for the edge-balanced
-	// frontier split and the per-block counts/offsets for the PrefixSum
-	// frontier compaction.
-	wscratch := make([]int64, n+1)
+	// frontier split (read only when the round may split, p > 1) and the
+	// per-block counts/offsets for the PrefixSum frontier compaction.
+	var wscratch []int64
+	if p > 1 {
+		wscratch = make([]int64, n+1)
+	}
 	nextCounts := make([]int32, len(states))
 	nextOffs := make([]int64, len(states)+1)
 	for len(frontier) > 0 {
@@ -130,37 +135,17 @@ func ColorFixed(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int,
 		par.ForWorkersWeightedBy(p, len(fr), wscratch, func(i int) int64 {
 			return int64(g.Degree(fr[i]))
 		}, func(w, lo, hi int) {
-			st := states[w]
+			st := &states[w]
 			// A block that is the whole round runs alone, so no other
 			// goroutine touches the counters and a plain decrement does.
 			shared := lo != 0 || hi != len(fr)
 			for i := lo; i < hi; i++ {
 				v := fr[i]
-				// One scan does GetColor and JPColor. When v is colored,
-				// its colored neighbors are exactly its predecessors:
-				// every predecessor was colored in an earlier round, and
-				// no successor can be colored before v releases it. So a
-				// nonzero color is forbidden and a zero one marks a
-				// successor to release.
-				st.mex.Reset()
+				var vfixed []uint32
 				if fixedOff != nil {
-					for _, c := range fixed[fixedOff[v]:fixedOff[v+1]] {
-						st.mex.Forbid(c)
-					}
+					vfixed = fixed[fixedOff[v]:fixedOff[v+1]]
 				}
-				ns := g.Neighbors(v)
-				st.edges += int64(len(ns))
-				for _, u := range ns {
-					if c := colors[u]; c != 0 {
-						st.mex.Forbid(c)
-					} else {
-						st.atoms++
-						if par.Join(&counts[u], shared) {
-							st.next = append(st.next, u)
-						}
-					}
-				}
-				colors[v] = st.mex.Smallest()
+				colors[v] = st.color(g.Neighbors(v), vfixed, colors, counts, shared)
 			}
 		})
 		// Collect the next frontier: per-worker buffers are compacted with
@@ -173,7 +158,8 @@ func ColorFixed(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int,
 		}
 		total := par.PrefixSumInt32(1, nextCounts, nextOffs)
 		nf := make([]uint32, total)
-		for w, st := range states {
+		for w := range states {
+			st := &states[w]
 			copy(nf[nextOffs[w]:nextOffs[w+1]], st.next)
 			st.next = st.next[:0]
 		}
@@ -185,4 +171,46 @@ func ColorFixed(ctx context.Context, g *graph.Graph, ord *order.Ordering, p int,
 	}
 	res.NumColors = verify.NumColors(colors)
 	return res, nil
+}
+
+// color does GetColor and JPColor for a vertex with neighbors ns that
+// must also avoid the colors fixed, in one scan, and returns its color.
+// When a vertex is colored, its colored neighbors are exactly its
+// predecessors: every predecessor was colored in an earlier round, and
+// no successor can be colored before the vertex releases it. So the
+// scan takes no branch that depends on the data: it forbids every
+// neighbor's color (an uncolored one's 0 lands in slot 0, which
+// Smallest never reads) and stores every neighbor into the successor
+// buffer, the tail of st.next, at an index that advances only past an
+// uncolored one. A second loop joins each successor on its pending
+// counter, atomically only when shared, and keeps those whose last
+// predecessor this was in st.next.
+func (st *workerState) color(ns, fixed, colors []uint32, counts []int32, shared bool) uint32 {
+	st.mex.Reset()
+	for _, c := range fixed {
+		st.mex.Forbid(c)
+	}
+	st.edges += int64(len(ns))
+	base := len(st.next)
+	buf := slices.Grow(st.next, len(ns))
+	succ := buf[base : base+len(ns)]
+	k := 0
+	for _, u := range ns {
+		c := colors[u]
+		st.mex.Forbid(c)
+		succ[k] = u
+		if c == 0 {
+			k++
+		}
+	}
+	st.atoms += int64(k)
+	kept := 0
+	for _, u := range succ[:k] {
+		succ[kept] = u
+		if par.Join(&counts[u], shared) {
+			kept++
+		}
+	}
+	st.next = buf[:base+kept]
+	return st.mex.Smallest()
 }

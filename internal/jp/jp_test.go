@@ -3,12 +3,15 @@ package jp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/mex"
 	"repro/internal/order"
 	"repro/internal/verify"
 	"repro/internal/xrand"
@@ -348,14 +351,95 @@ func TestRandomGraphProperty(t *testing.T) {
 	}
 }
 
+// TestScanFillsSuccessorBuffer covers the edges of JP's branch-free
+// scan. color stores every neighbor and advances only past an
+// uncolored one, so a vertex whose neighbors are all uncolored fills a
+// successor buffer of exactly its degree, and the release keeps, in
+// order, the successors whose last predecessor it was.
+func TestScanFillsSuccessorBuffer(t *testing.T) {
+	ns := []uint32{3, 1, 4, 2}
+	for _, shared := range []bool{false, true} {
+		// All uncolored, each with v as its last predecessor: the
+		// buffer, exactly deg slots past the one vertex released
+		// earlier, fills to the last slot and is released whole.
+		st := workerState{mex: mex.New(len(ns)), next: make([]uint32, 1, 1+len(ns))}
+		counts := []int32{1, 1, 1, 1, 1}
+		if c := st.color(ns, nil, make([]uint32, 5), counts, shared); c != 1 {
+			t.Fatalf("shared=%v, all uncolored: color %d, want 1", shared, c)
+		}
+		if want := []uint32{0, 3, 1, 4, 2}; !slices.Equal(st.next, want) || cap(st.next) != len(want) {
+			t.Fatalf("shared=%v, all uncolored: next %v (cap %d), want %v in place", shared, st.next, cap(st.next), want)
+		}
+		// Vertices 1 and 3 hold colors 2 and 1, and 4 keeps a pending
+		// predecessor: only 2 is released, and color 3 is taken.
+		st.next = st.next[:0]
+		counts = []int32{0, 0, 1, 0, 2}
+		if c := st.color(ns, nil, []uint32{0, 2, 0, 1, 0}, counts, shared); c != 3 {
+			t.Fatalf("shared=%v, mixed: color %d, want 3", shared, c)
+		}
+		if !slices.Equal(st.next, []uint32{2}) || counts[4] != 1 || counts[2] != 0 {
+			t.Fatalf("shared=%v, mixed: next %v, counts %v", shared, st.next, counts)
+		}
+		if st.edges != 8 || st.atoms != 6 {
+			t.Fatalf("shared=%v: %d edges, %d joins; want 8 and 6", shared, st.edges, st.atoms)
+		}
+	}
+
+	// End to end: two stars whose centers, 0 and 1, are the first
+	// round's only vertices. Each center's neighbors are all uncolored,
+	// so each fills its successor buffer to the last slot, the second
+	// one past the first one's released leaves.
+	var edges []graph.Edge
+	for v := uint32(2); v < 40; v++ {
+		edges = append(edges, graph.Edge{U: v % 2, V: v})
+	}
+	g, err := graph.FromEdges(40, edges, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		res := Color(g, order.FirstFit(g), p)
+		for v, c := range res.Colors {
+			want := uint32(2) // a leaf
+			if v < 2 {
+				want = 1 // a center
+			}
+			if c != want {
+				t.Fatalf("p=%d: color of %d = %d, want %d", p, v, c, want)
+			}
+		}
+		if res.Rounds != 2 || res.AtomicOps != 38 {
+			t.Fatalf("p=%d: %d rounds, %d joins; want 2 and 38", p, res.Rounds, res.AtomicOps)
+		}
+	}
+}
+
+// BenchmarkJPADG times one JP-ADG run as the harness registry runs it
+// (the ADG-O ordering at ε 0.01, then JP over its fused in-degrees) on
+// kron:15, the cold_color graph, at p 1 and 2, and reports the order
+// and color phases in ms per run, beside BenchmarkSPECADG in
+// internal/speculate and BenchmarkDECADGITR in internal/spec.
 func BenchmarkJPADG(b *testing.B) {
-	g, err := gen.Kronecker(13, 16, 1, 0)
+	g, err := gen.Kronecker(15, 16, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Color(g, order.ADG(g, order.ADGOptions{Epsilon: 0.01, Seed: 1}), 0)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("kron15-p%d", p), func(b *testing.B) {
+			var orderSec, colorSec float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				ord := order.ADG(g, order.ADGOptions{Epsilon: 0.01, Procs: p, Seed: 1, Sorted: true})
+				ordered := time.Now()
+				Color(g, ord, p)
+				orderSec += ordered.Sub(start).Seconds()
+				colorSec += time.Since(ordered).Seconds()
+			}
+			b.ReportMetric(1e3*orderSec/float64(b.N), "order-ms/op")
+			b.ReportMetric(1e3*colorSec/float64(b.N), "color-ms/op")
+		})
 	}
 }
 

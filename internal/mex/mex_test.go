@@ -70,6 +70,37 @@ func TestForbiddenReportsTheSet(t *testing.T) {
 	}
 }
 
+// TestForbidZeroIsInvisible pins what JP's branch-free scan relies
+// on: forbidding 0, an uncolored neighbor's color, changes neither
+// Smallest nor Forbidden(c) for any color c >= 1, whatever else the
+// set holds.
+func TestForbidZeroIsInvisible(t *testing.T) {
+	const maxDeg = 6 // colors 1..7
+	// Every subset of 1..7 but the full one, which no vertex of degree
+	// at most 6 can forbid.
+	for mask := 0; mask < 1<<(maxDeg+1)-1; mask++ {
+		with, without := New(maxDeg), New(maxDeg)
+		with.Reset()
+		without.Reset()
+		with.Forbid(0)
+		for c := uint32(1); c <= maxDeg+1; c++ {
+			if mask&(1<<(c-1)) != 0 {
+				with.Forbid(c)
+				without.Forbid(c)
+			}
+		}
+		with.Forbid(0)
+		if got, want := with.Smallest(), without.Smallest(); got != want {
+			t.Fatalf("set %b: Smallest = %d with 0 forbidden, %d without", mask, got, want)
+		}
+		for c := uint32(1); c <= maxDeg+2; c++ {
+			if got, want := with.Forbidden(c), without.Forbidden(c); got != want {
+				t.Fatalf("set %b: Forbidden(%d) = %v with 0 forbidden, %v without", mask, c, got, want)
+			}
+		}
+	}
+}
+
 // TestGreedyMatchesNaive checks Greedy against a map-based mex on
 // random neighborhoods, colors 0..deg+3 so that some exceed the range.
 func TestGreedyMatchesNaive(t *testing.T) {

@@ -156,6 +156,21 @@ func (v *CounterVec) With(values ...string) Counter {
 	return Counter{s: v.f.get(values)}
 }
 
+// Values returns every series' count keyed by comma-joined label
+// values.
+func (v *CounterVec) Values() map[string]int64 {
+	if v == nil || v.f == nil {
+		return nil
+	}
+	v.f.mu.RLock()
+	defer v.f.mu.RUnlock()
+	out := make(map[string]int64, len(v.f.series))
+	for _, s := range v.f.series {
+		out[strings.Join(s.labelValues, ",")] = s.val.Load()
+	}
+	return out
+}
+
 // Add increments the counter. Nil-safe.
 func (c Counter) Add(n int64) {
 	if c.s != nil {

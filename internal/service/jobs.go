@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +19,11 @@ import (
 type ManagerConfig struct {
 	// MaxInflight bounds concurrently executing coloring runs. Requests
 	// beyond the budget queue on the slot semaphore (still cancellable
-	// while queued). <= 0 defaults to GOMAXPROCS: every run already
-	// parallelizes internally over the shared par.Pool, so more inflight
-	// runs than cores only adds contention, not throughput.
+	// while queued). <= 0 defaults to GOMAXPROCS: a run without an
+	// explicit procs takes GOMAXPROCS divided by the runs holding a
+	// slot, so at this budget a saturated server runs each request on
+	// one worker, and more inflight runs than cores would only add
+	// contention, not throughput.
 	MaxInflight int
 	// CacheEntries is the LRU result-cache capacity (<= 0 disables).
 	CacheEntries int
@@ -30,13 +33,17 @@ type ManagerConfig struct {
 }
 
 // ColorRequest is one coloring job. The zero value of Epsilon selects
-// the paper's evaluation setting (0.01); Procs <= 0 selects GOMAXPROCS.
+// the paper's evaluation setting (0.01).
 type ColorRequest struct {
 	Graph     string  `json:"graph"`
 	Algorithm string  `json:"algorithm"`
 	Seed      uint64  `json:"seed"`
 	Epsilon   float64 `json:"epsilon"`
-	// Procs only changes run latency, never the result (Las Vegas
+	// Procs is the run's worker count. 0 selects a fair share of the
+	// cores, fixed when the run takes its inflight slot: GOMAXPROCS
+	// divided by the runs then holding a slot, at least 1, so a lone
+	// run gets every core and a saturated server stops forking. Procs
+	// only changes run latency, never the result (Las Vegas
 	// determinism) — hence it is not part of the cache key.
 	Procs int `json:"procs"`
 	// TimeoutMillis overrides the server's default per-request deadline.
@@ -100,6 +107,10 @@ type ManagerStats struct {
 	Cancelled   int64 `json:"cancelled"`
 	Failed      int64 `json:"failed"`
 	Coalesced   int64 `json:"coalesced"`
+	// RunsByProcs counts the coloring runs started, by the worker
+	// count each got: the colord_job_runs_total{procs} counter, which
+	// only a Server's metrics document fills in.
+	RunsByProcs map[string]int64 `json:"runsByProcs,omitempty"`
 }
 
 // Manager runs coloring jobs: bounded inflight budget, per-request
@@ -403,9 +414,19 @@ func (m *Manager) lead(ctx context.Context, req *ColorRequest, r *resolved, f *f
 	}
 	defer func() { <-m.sem }()
 
+	// The fair share: a run that leaves procs to the server splits the
+	// cores with the runs holding a slot now, itself included.
+	procs := req.Procs
+	if procs == 0 {
+		procs = max(1, runtime.GOMAXPROCS(0)/len(m.sem))
+	}
+	if m.met != nil {
+		m.met.jobRuns.With(strconv.Itoa(procs)).Inc()
+	}
+
 	start := time.Now()
 	res, err := harness.RunChecked(r.algo, r.g, harness.Config{
-		Procs:   req.Procs,
+		Procs:   procs,
 		Seed:    req.Seed,
 		Epsilon: req.Epsilon,
 		Ctx:     ctx,

@@ -30,6 +30,8 @@ type serverMetrics struct {
 	jobQueueWait *obs.Histogram
 	jobRun       *obs.HistogramVec
 	sfWait       *obs.Histogram
+	// jobRuns: coloring runs started, by the worker count each got.
+	jobRuns *obs.CounterVec
 	// enginePhase: per-algorithm engine phase timings (order/color for
 	// the JP family, speculate/repair/fallback for SPEC-ADG, ...) from
 	// harness.RunResult.Phases.
@@ -70,6 +72,7 @@ func newServerMetrics() *serverMetrics {
 		jobQueueWait: r.NewHistogramVec("colord_job_queue_wait_seconds", "Time jobs spent queued for an inflight slot.", nil, nil).With(),
 		jobRun:       r.NewHistogramVec("colord_job_run_seconds", "Checked coloring run duration by algorithm.", []string{"algorithm"}, nil),
 		sfWait:       r.NewHistogramVec("colord_job_singleflight_wait_seconds", "Time followers waited on an identical in-flight run.", nil, nil).With(),
+		jobRuns:      r.NewCounterVec("colord_job_runs_total", "Coloring runs started, by the worker count each got.", []string{"procs"}),
 		enginePhase:  r.NewHistogramVec("colord_engine_phase_seconds", "Engine phase duration by algorithm and phase.", []string{"algorithm", "phase"}, nil),
 		proxyRTT:     r.NewHistogramVec("colord_proxy_rtt_seconds", "Proxied request round-trip by peer.", []string{"peer"}, nil),
 		replRTT:      r.NewHistogramVec("colord_replication_rtt_seconds", "Replication RPC round-trip by peer.", []string{"peer"}, nil),
@@ -105,6 +108,15 @@ func (m *serverMetrics) httpSnapshots() map[string]obs.HistogramSnapshot {
 		out[ep] = out[ep].Merge(s)
 	}
 	return out
+}
+
+// runsByProcs is the JSON view of jobRuns: run counts keyed by worker
+// count.
+func (m *serverMetrics) runsByProcs() map[string]int64 {
+	if m == nil {
+		return nil
+	}
+	return m.jobRuns.Values()
 }
 
 // observePhases records an engine run's phase timings and mirrors

@@ -106,11 +106,9 @@ func lintProm(t *testing.T, s *Server, body string) {
 		namesSeen[name] = true
 	}
 
-	// The flattened JSON gauges: same clearing of HTTPLatency the
-	// handler applies (the registry serves those histograms natively).
-	m := s.SnapshotMetrics()
-	m.HTTPLatency = nil
-	flat, err := obs.FlattenJSONNames("colord", m)
+	// The flattened JSON gauges: the document the handler flattens,
+	// without the fields the registry serves natively.
+	flat, err := obs.FlattenJSONNames("colord", s.promSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +124,7 @@ func lintProm(t *testing.T, s *Server, body string) {
 		"colord_http_request_duration_seconds_count",
 		"colord_job_queue_wait_seconds_count",
 		"colord_job_run_seconds_count",
+		"colord_job_runs_total",
 		"colord_engine_phase_seconds_count",
 		"colord_store_wal_append_seconds_count",
 	} {

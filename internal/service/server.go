@@ -637,6 +637,7 @@ func (s *Server) SnapshotMetrics() Metrics {
 		PoolWorkers:        par.Default().Procs(),
 		GoMaxProcs:         runtime.GOMAXPROCS(0),
 	}
+	m.Jobs.RunsByProcs = s.met.runsByProcs()
 	m.PersistErrors = s.persistErrors.Load()
 	m.CompactRequests = s.compactRequests.Load()
 	if s.st != nil {
@@ -732,20 +733,27 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// promSnapshot is the Metrics document the Prometheus view flattens
+// into gauges: the fields the obs registry exposes natively (the
+// latency histograms and the runs-by-procs counter) are cleared, since
+// flattening them would only duplicate them.
+func (s *Server) promSnapshot() Metrics {
+	m := s.SnapshotMetrics()
+	m.HTTPLatency = nil
+	m.Jobs.RunsByProcs = nil
+	return m
+}
+
 // handleMetrics serves the metrics document in two negotiated shapes:
 // the JSON snapshot (unchanged — existing clients and tests), or
 // Prometheus text exposition when the client asks via ?format=prom or
 // Accept: text/plain. The prom view is the JSON document flattened
 // into gauges (every numeric field, automatically in sync) plus the
-// obs registry's latency histograms.
+// obs registry's histograms and labeled counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" || strings.Contains(r.Header.Get("Accept"), "text/plain") {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m := s.SnapshotMetrics()
-		// The histograms are exposed natively below; flattening their
-		// snapshot maps into gauges would only duplicate them.
-		m.HTTPLatency = nil
-		if err := obs.WritePromFromJSON(w, "colord", m); err != nil {
+		if err := obs.WritePromFromJSON(w, "colord", s.promSnapshot()); err != nil {
 			writeError(w, err)
 			return
 		}

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -222,6 +225,67 @@ func TestColorProcsSharesCacheKey(t *testing.T) {
 	for i := range r1.Colors {
 		if r1.Colors[i] != r2.Colors[i] {
 			t.Fatalf("colors diverge at %d", i)
+		}
+	}
+}
+
+// TestFairShareProcs pins the worker count a run gets, read back from
+// the colord_job_runs_total{procs} counter in both /metrics formats: a
+// lone run without procs gets GOMAXPROCS workers, a run started while
+// another holds a slot gets GOMAXPROCS divided by the two, and an
+// explicit procs is honored whatever else runs.
+func TestFairShareProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, ts := newTestServer(t, ManagerConfig{MaxInflight: 4, CacheEntries: 8})
+	addSpecGraph(t, ts, "k8", "kron:8")
+	color := func(procs int) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/color", ColorRequest{Graph: "k8", Algorithm: "JP-ADG", Seed: 1, Procs: procs, NoCache: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("color: %d %s", resp.StatusCode, body)
+		}
+	}
+	runs := func() map[string]int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m Metrics
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Jobs.RunsByProcs
+	}
+
+	color(0)
+	if got := runs(); !maps.Equal(got, map[string]int64{"4": 1}) {
+		t.Fatalf("lone run: runs by procs %v, want one run at 4", got)
+	}
+	// Another run holds a slot.
+	s.Manager().sem <- struct{}{}
+	color(0)
+	color(3)
+	<-s.Manager().sem
+	want := map[string]int64{"4": 1, "2": 1, "3": 1}
+	if got := runs(); !maps.Equal(got, want) {
+		t.Fatalf("runs by procs %v, want %v", got, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for procs, n := range want {
+		line := fmt.Sprintf("colord_job_runs_total{procs=%q} %d\n", procs, n)
+		if !strings.Contains(string(body), line) {
+			t.Fatalf("prom exposition lacks %q", line)
 		}
 	}
 }

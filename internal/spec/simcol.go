@@ -9,11 +9,14 @@ import (
 // simColState is the shared state threaded through the per-partition
 // SIM-COL invocations of DEC-ADG (Algorithm 4's bitmaps and ranks).
 type simColState struct {
-	g      *graph.Graph
-	rank   []uint32     // ADG partition index of each vertex
-	same   []int32      // neighbors in v's own partition
-	span   []uint32     // color range ⌈(1+µ)·deg_ℓ(v)⌉ (≥ deg_ℓ+1)
-	forbid []bitset.Set // Bv: forbidden colors (1-based bit index)
+	g    *graph.Graph
+	rank []uint32 // ADG partition index of each vertex
+	same []int32  // neighbors in v's own partition
+	span []uint32 // color range ⌈(1+µ)·deg_ℓ(v)⌉ (≥ deg_ℓ+1)
+	// Bv, v's forbidden colors (1-based bit index), is the bitmap over
+	// colors 0..span[v] that starts at words[woff[v]].
+	words  []uint64
+	woff   []int
 	colors []uint32
 	seed   uint64
 	p      int
@@ -39,7 +42,7 @@ func newSimColState(g *graph.Graph, rank []uint32, mu float64, seed uint64, p in
 		rank:   rank,
 		same:   make([]int32, n),
 		span:   make([]uint32, n),
-		forbid: make([]bitset.Set, n),
+		woff:   make([]int, n),
 		colors: make([]uint32, n),
 		seed:   seed,
 		p:      p,
@@ -53,16 +56,17 @@ func newSimColState(g *graph.Graph, rank []uint32, mu float64, seed uint64, p in
 		}
 	})
 	words := 0
-	for _, s := range st.span {
+	for v, s := range st.span {
+		st.woff[v] = words
 		words += bitmapWords(s)
 	}
-	arena := make([]uint64, words)
-	for v, s := range st.span {
-		w := bitmapWords(s)
-		st.forbid[v] = bitset.FromWords(arena[:w], int(s)+1)
-		arena = arena[w:]
-	}
+	st.words = make([]uint64, words)
 	return st
+}
+
+// forbidden returns Bv, the bitmap of v's forbidden colors.
+func (st *simColState) forbidden(v uint32) bitset.Set {
+	return bitset.FromWords(st.words[st.woff[v]:], int(st.span[v])+1)
 }
 
 // bitmapWords is the word count of a bitmap over colors 0..span.
@@ -101,7 +105,8 @@ func (st *simColState) initVertex(g *graph.Graph, rank []uint32, mu float64, v i
 // v's own range (they cannot collide with v's draws).
 func (st *simColState) markForbidden(v uint32, c uint32) {
 	if c <= st.span[v] {
-		st.forbid[v].Set(int(c))
+		bv := st.forbidden(v)
+		bv.Set(int(c))
 	}
 }
 
@@ -109,33 +114,55 @@ func (st *simColState) markForbidden(v uint32, c uint32) {
 // vertex's adjacency list (Algorithm 4, lines 16-18): it pulls the colors
 // of the neighbors in higher, already colored partitions into Bv, and
 // copies the neighbors in rl itself into the vertex's list in st.adj.
+//
+// Partitions are colored from the highest down, so exactly the
+// neighbors in higher partitions are colored, and the scan takes no
+// branch that depends on the data: it sets Bv's bit for every
+// neighbor's color (an uncolored one's 0, like a color past v's range,
+// lands in bit 0, which simCol never reads), and stores every neighbor
+// into v's list at an index that advances only past a same-partition
+// one. Each list has one pad slot past its end, which takes the store
+// of a last arc that is not same-partition, so parallel blocks never
+// write into each other's lists.
 func (st *simColState) loadPartition(part []uint32, rl uint32) {
 	off := st.off[:len(part)+1]
 	var total int64
 	for i, v := range part {
 		off[i] = total
-		total += int64(st.same[v])
+		total += int64(st.same[v]) + 1
 	}
 	off[len(part)] = total
 	if int64(cap(st.adj)) < total {
 		st.adj = make([]uint32, total)
 	}
-	adj, end, rank, g := st.adj, st.end, st.rank, st.g
+	adj, end, g := st.adj, st.end, st.g
 	par.ForWeightedBy(st.p, len(part), func(i int) int64 {
 		return int64(g.Degree(part[i]))
 	}, func(i int) {
 		v := part[i]
 		k := off[i]
-		for _, u := range g.Neighbors(v) {
-			if ru := rank[u]; ru > rl {
-				st.markForbidden(v, st.colors[u])
-			} else if ru == rl {
-				adj[k] = u
-				k++
-			}
-		}
-		end[i] = k
+		end[i] = k + loadLists(st.forbidden(v), st.span[v], g.Neighbors(v), st.colors, st.rank, rl, adj[k:])
 	})
+}
+
+// loadLists is loadPartition's scan of one vertex's neighbors ns: it
+// sets bv's bit for each neighbor's color up to span (0 for one past
+// it) and stores ns into list at an index that advances only past a
+// neighbor of rank rl, returning how many there are. list must hold
+// their count plus one.
+func loadLists(bv bitset.Set, span uint32, ns, colors, rank []uint32, rl uint32, list []uint32) int64 {
+	var k int64
+	for _, u := range ns {
+		c := colors[u]
+		// The mask is all ones exactly when c <= span.
+		c &= uint32((int64(c) - int64(span) - 1) >> 63)
+		bv.Set(int(c))
+		list[k] = u
+		if rank[u] == rl {
+			k++
+		}
+	}
+	return k
 }
 
 // simCol colors one partition (Algorithm 5). part lists the vertices of
@@ -162,7 +189,8 @@ func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, 
 			v := part[u[i]]
 			if itrRule {
 				// DEC-ADG-ITR (§IV-C): smallest color not in Bv.
-				c := st.forbid[v].NextClear(1)
+				bv := st.forbidden(v)
+				c := bv.NextClear(1)
 				if c < 0 {
 					// Cannot happen: span ≥ deg_ℓ+1 > |Bv|; guard anyway.
 					c = int(st.span[v])
@@ -184,7 +212,8 @@ func (st *simColState) simCol(part []uint32, itrRule bool, prio []uint32) (int, 
 				k := u[i]
 				v := part[k]
 				cv := colors[v]
-				bad := st.forbid[v].Test(int(cv))
+				bv := st.forbidden(v)
+				bad := bv.Test(int(cv))
 				ns := adj[off[k]:end[k]]
 				scanned += int64(len(ns))
 				if !bad {

@@ -1,15 +1,19 @@
 package spec
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/order"
 	"repro/internal/verify"
+	"repro/internal/xrand"
 )
 
 type algo struct {
@@ -336,6 +340,100 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// goldenFamilies builds the graphs whose DEC colorings the proptest
+// goldens pin: the six proptest families plus kron12 and grid64.
+func goldenFamilies(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	out := map[string]*graph.Graph{}
+	add := func(name string) func(*graph.Graph, error) {
+		return func(g *graph.Graph, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = g
+		}
+	}
+	add("kron")(gen.Kronecker(7, 8, 3, 0))
+	add("er")(gen.ErdosRenyiGNM(400, 1600, 5, 0))
+	add("grid")(gen.Grid2D(16, 16, 0))
+	add("bipartite")(gen.CompleteBipartite(10, 30, 0))
+	add("ws")(gen.WattsStrogatz(300, 6, 0.1, 9, 0))
+	add("ba")(gen.BarabasiAlbert(300, 4, 11, 0))
+	add("kron12")(gen.Kronecker(12, 8, 3, 0))
+	add("grid64")(gen.Grid2D(64, 64, 0))
+	return out
+}
+
+// branchyLoad is the partition load that loadPartition's branch-free
+// scan replaced, for one vertex v of partition rl: Bv's bits 0..span
+// from the colors of the neighbors in higher partitions, and the
+// same-partition neighbors in adjacency order.
+func branchyLoad(st *simColState, v, rl uint32) (bits []bool, list []uint32) {
+	bits = make([]bool, st.span[v]+1)
+	for _, u := range st.g.Neighbors(v) {
+		if ru := st.rank[u]; ru > rl {
+			if c := st.colors[u]; c <= st.span[v] {
+				bits[c] = true
+			}
+		} else if ru == rl {
+			list = append(list, u)
+		}
+	}
+	return bits, list
+}
+
+// TestLoadPartitionMatchesBranchyLoad runs DEC-ADG and DEC-ADG-ITR
+// partition by partition on the golden families at p ∈ {1, 2, 8} and
+// checks every partition load against branchyLoad: the same lists in
+// the same order and the same Bv bits 1..span (bit 0 is never read).
+// The families hold vertices whose last arc is same-partition, whose
+// store fills the list, and vertices whose last arc is not, whose
+// store lands in the pad slot.
+func TestLoadPartitionMatchesBranchyLoad(t *testing.T) {
+	ctx := context.Background()
+	lastSame, lastOther := 0, 0
+	for name, g := range goldenFamilies(t) {
+		for _, p := range []int{1, 2, 8} {
+			for _, itrRule := range []bool{false, true} {
+				opts := Options{Procs: p, Seed: 7, Epsilon: 0.01}
+				ord, err := DecomposeOrderingContext(ctx, g, opts, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := newSimColState(g, ord.Rank, opts.epsilon()/4, opts.Seed, p)
+				prio := xrand.New(opts.Seed+1).Perm(g.NumVertices(), nil)
+				for l := len(ord.Partitions) - 1; l >= 0; l-- {
+					part, rl := ord.Partitions[l], uint32(l)
+					st.loadPartition(part, rl)
+					for i, v := range part {
+						bits, list := branchyLoad(st, v, rl)
+						if got := st.adj[st.off[i]:st.end[i]]; !slices.Equal(got, list) {
+							t.Fatalf("%s p=%d partition %d: vertex %d lists %v, want %v", name, p, l, v, got, list)
+						}
+						bv := st.forbidden(v)
+						for c := 1; c < len(bits); c++ {
+							if bv.Test(c) != bits[c] {
+								t.Fatalf("%s p=%d partition %d: vertex %d Bv bit %d = %v, want %v", name, p, l, v, c, bv.Test(c), bits[c])
+							}
+						}
+						if ns := g.Neighbors(v); len(ns) > 0 {
+							if ord.Rank[ns[len(ns)-1]] == rl {
+								lastSame++
+							} else {
+								lastOther++
+							}
+						}
+					}
+					st.simCol(part, itrRule, prio)
+				}
+			}
+		}
+	}
+	if lastSame == 0 || lastOther == 0 {
+		t.Fatalf("%d vertices end on a same-partition arc and %d on another; want both", lastSame, lastOther)
+	}
+}
+
 func BenchmarkITR(b *testing.B) {
 	g, err := gen.Kronecker(13, 16, 1, 0)
 	if err != nil {
@@ -347,13 +445,38 @@ func BenchmarkITR(b *testing.B) {
 	}
 }
 
+// BenchmarkDECADGITR times one DEC-ADG-ITR run as the harness registry
+// runs it (the ADG decomposition at ε 0.01/12, then the partitions'
+// SIM-COL rounds under the ITR rule) on kron:15, the cold_color graph,
+// at p 1 and 2, and reports the decompose and color phases in ms per
+// run, beside BenchmarkSPECADG in internal/speculate.
 func BenchmarkDECADGITR(b *testing.B) {
-	g, err := gen.Kronecker(13, 16, 1, 0)
+	g, err := gen.Kronecker(15, 16, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DECADGITR(g, Options{Seed: 1, Epsilon: 0.01})
+	ctx := context.Background()
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("kron15-p%d", p), func(b *testing.B) {
+			opts := Options{Procs: p, Seed: 1, Epsilon: 0.01}
+			var decSec, colorSec float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				ord, err := DecomposeOrderingContext(ctx, g, opts, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				decomposed := time.Now()
+				if _, err := ColorDecompositionContext(ctx, g, ord, opts, true); err != nil {
+					b.Fatal(err)
+				}
+				decSec += decomposed.Sub(start).Seconds()
+				colorSec += time.Since(decomposed).Seconds()
+			}
+			b.ReportMetric(1e3*decSec/float64(b.N), "decompose-ms/op")
+			b.ReportMetric(1e3*colorSec/float64(b.N), "color-ms/op")
+		})
 	}
 }
