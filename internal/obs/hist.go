@@ -1,6 +1,6 @@
 // Package obs is colord's low-overhead observability core: lock-free
-// fixed-bucket latency histograms, labelled counters and gauges, a
-// Prometheus text-format writer, and bounded request tracing (request
+// fixed-bucket latency histograms, labelled counters, families read
+// from their owner at scrape time, a Prometheus text-format writer, and bounded request tracing (request
 // IDs + an in-memory span ring). Everything is allocation-light on the
 // hot path — an Observe is a bucket search plus three atomic adds —
 // and every handle is nil-safe, so call sites never branch on whether
@@ -165,12 +165,19 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
+// Valid reports whether the snapshot has a finite bound and one bucket
+// per bound plus the +Inf overflow bucket, so that its quantiles are
+// defined. A snapshot decoded from another process's document may not.
+func (s HistogramSnapshot) Valid() bool {
+	return len(s.Bounds) > 0 && len(s.Buckets) == len(s.Bounds)+1
+}
+
 // Quantile estimates the q-quantile (0 < q <= 1) in seconds by linear
 // interpolation inside the bucket holding the target rank. Values in
 // the +Inf bucket report the largest finite bound. Returns NaN on an
-// empty snapshot.
+// empty snapshot and on one that is not Valid.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count <= 0 || len(s.Buckets) == 0 {
+	if s.Count <= 0 || !s.Valid() {
 		return math.NaN()
 	}
 	rank := q * float64(s.Count)

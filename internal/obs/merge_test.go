@@ -18,6 +18,21 @@ func TestQuantileEmptySnapshot(t *testing.T) {
 	if q := bad.Quantile(0.99); !math.IsNaN(q) {
 		t.Fatalf("Quantile with Count>0 but no buckets = %v, want NaN", q)
 	}
+	// A count with only the overflow bucket has no finite bound to
+	// report, and a bucket list that does not match the bounds is no
+	// histogram at all: both are NaN, not an index past Bounds.
+	for _, s := range []HistogramSnapshot{
+		{Count: 3, Buckets: []int64{3}},
+		{Count: 3, Bounds: []float64{0.1}, Buckets: []int64{1, 1, 1}},
+		{Count: 3, Bounds: []float64{0.1, 0.2}, Buckets: []int64{3}},
+	} {
+		if s.Valid() {
+			t.Fatalf("%+v: Valid", s)
+		}
+		if q := s.Quantile(0.99); !math.IsNaN(q) {
+			t.Fatalf("Quantile of %+v = %v, want NaN", s, q)
+		}
+	}
 	// A snapshot whose only mass is in the +Inf overflow bucket reports
 	// the largest finite bound rather than +Inf.
 	h := NewHistogram([]float64{0.001, 0.01})

@@ -118,20 +118,17 @@ func TestRegistryPromExposition(t *testing.T) {
 	r := NewRegistry()
 	hv := r.NewHistogramVec("colord_test_duration_seconds", "test latency", []string{"endpoint", "class"}, nil)
 	cv := r.NewCounterVec("colord_test_total", "test counter", []string{"kind"})
-	gv := r.NewGaugeVec("colord_test_gauge", "test gauge", nil)
+	ratio := 0.75
+	r.NewFunc("colord_test_gauge", "test gauge", "gauge", nil, func() []Sample { return Value(ratio) })
 
 	hv.With("/v1/color", "2xx").Observe(2 * time.Millisecond)
 	hv.With("/v1/color", "2xx").Observe(20 * time.Millisecond)
 	hv.With("/v1/color", "5xx").Observe(time.Second)
 	cv.With("hit").Add(3)
 	cv.With("miss").Inc()
-	gv.With().Set(0.75)
 
 	if got := cv.With("hit").Value(); got != 3 {
 		t.Fatalf("counter value = %d, want 3", got)
-	}
-	if got := gv.With().Value(); got != 0.75 {
-		t.Fatalf("gauge value = %v, want 0.75", got)
 	}
 
 	var b strings.Builder
@@ -168,7 +165,7 @@ func TestNilRegistryChain(t *testing.T) {
 	hv := r.NewHistogramVec("x", "", nil, nil)
 	hv.With().Observe(time.Second) // must not panic
 	r.NewCounterVec("y", "", []string{"a"}).With("b").Inc()
-	r.NewGaugeVec("z", "", nil).With().Set(1)
+	r.NewFunc("z", "", "gauge", nil, func() []Sample { return Value(1) })
 	var b strings.Builder
 	r.WriteProm(&b)
 	if b.Len() != 0 {
@@ -190,49 +187,43 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestWritePromFromJSON(t *testing.T) {
-	doc := map[string]any{
-		"uptimeSeconds": 1.5,
-		"requests":      42,
-		"cacheHitRate":  0.9,
-		"name":          "skipped-string",
-		"ok":            true,
-		"pool":          map[string]any{"goMaxProcs": 4, "bad key!": 1},
-	}
-	var b strings.Builder
-	if err := WritePromFromJSON(&b, "colord", doc); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"colord_uptime_seconds 1.5",
-		"colord_requests 42",
-		"colord_cache_hit_rate 0.9",
-		"colord_ok 1",
-		"colord_pool_go_max_procs 4",
-		"colord_pool_bad_key_ 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("flattened output missing %q\n%s", want, out)
+// TestFuncFamilies pins the scrape-time family: every scrape reads its
+// owner afresh, series come out sorted by label values whatever order
+// the owner returns them in, a read with no samples leaves the family
+// out, and integral values print as integers however large.
+func TestFuncFamilies(t *testing.T) {
+	r := NewRegistry()
+	owner := map[string]float64{"b": 2, "a": 1e7}
+	r.NewFunc("colord_owned_bytes", "owned bytes", "gauge", []string{"graph"}, func() []Sample {
+		var out []Sample
+		for g, v := range owner {
+			out = append(out, Sample{Labels: []string{g}, Value: v})
 		}
+		return out
+	})
+	r.NewFunc("colord_owned_seconds", "owned latency", "histogram", nil, func() []Sample {
+		h := NewHistogram([]float64{0.5})
+		h.ObserveSeconds(0.25)
+		return []Sample{{Hist: h.Snapshot()}}
+	})
+	r.NewFunc("colord_absent_total", "no samples", "counter", nil, func() []Sample { return nil })
+
+	scrape := func() string {
+		var b strings.Builder
+		r.WriteProm(&b)
+		return b.String()
 	}
-	if strings.Contains(out, "skipped-string") {
-		t.Error("string leaf should be skipped")
+	want := "# HELP colord_owned_bytes owned bytes\n# TYPE colord_owned_bytes gauge\n" +
+		"colord_owned_bytes{graph=\"a\"} 10000000\ncolord_owned_bytes{graph=\"b\"} 2\n" +
+		"# HELP colord_owned_seconds owned latency\n# TYPE colord_owned_seconds histogram\n" +
+		"colord_owned_seconds_bucket{le=\"0.5\"} 1\ncolord_owned_seconds_bucket{le=\"+Inf\"} 1\n" +
+		"colord_owned_seconds_sum 0.25\ncolord_owned_seconds_count 1\n"
+	if got := scrape(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-	names, err := FlattenJSONNames("colord", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 6 {
-		t.Fatalf("FlattenJSONNames returned %d names: %v", len(names), names)
-	}
-	for _, n := range names {
-		if !strings.Contains(out, n+" ") {
-			t.Errorf("name %q missing from output", n)
-		}
-	}
-	if err := WritePromFromJSON(&b, "colord", func() {}); err == nil {
-		t.Fatal("unmarshalable doc should error")
+	owner["b"] = 3.5
+	if got := scrape(); !strings.Contains(got, `colord_owned_bytes{graph="b"} 3.5`) {
+		t.Fatalf("second scrape did not re-read the owner:\n%s", got)
 	}
 }
 

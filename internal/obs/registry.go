@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,10 +13,13 @@ import (
 )
 
 // Registry holds metric families and renders them in Prometheus text
-// exposition format. All constructors and lookups are safe for
-// concurrent use; a nil *Registry yields nil vecs, whose series are
-// nil, whose Observe/Add are no-ops — so instrumentation can be wired
-// unconditionally and enabled by simply attaching a registry.
+// exposition format. A family is either stored — counters and
+// histograms whose series the registry holds and call sites update —
+// or read at scrape time (NewFunc) from the owner of its values. All
+// constructors and lookups are safe for concurrent use; a nil
+// *Registry yields nil vecs, whose series are nil, whose Observe/Add
+// are no-ops — so instrumentation can be wired unconditionally and
+// enabled by simply attaching a registry.
 type Registry struct {
 	mu       sync.RWMutex
 	families []*family
@@ -25,7 +30,8 @@ type family struct {
 	help   string
 	typ    string // "counter" | "gauge" | "histogram"
 	labels []string
-	bounds []float64 // histograms only
+	bounds []float64       // stored histograms only
+	read   func() []Sample // scrape-time families only
 
 	mu     sync.RWMutex
 	series map[string]*series
@@ -33,20 +39,32 @@ type family struct {
 
 type series struct {
 	labelValues []string
-	val         atomic.Int64 // counters/gauges (gauges store float bits)
+	val         atomic.Int64 // counters
 	hist        *Histogram
 }
+
+// Sample is one series as a scrape reads it: its label values, in the
+// family's label order, and its value, or in a histogram family its
+// snapshot.
+type Sample struct {
+	Labels []string
+	Value  float64
+	Hist   HistogramSnapshot
+}
+
+// Value is the one sample of a family without labels.
+func Value(v float64) []Sample { return []Sample{{Value: v}} }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) addFamily(name, help, typ string, labels []string, bounds []float64) *family {
+func (r *Registry) add(f *family) *family {
 	if r == nil {
 		return nil
 	}
+	f.series = map[string]*series{}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := &family{name: name, help: help, typ: typ, labels: labels, bounds: bounds, series: map[string]*series{}}
 	r.families = append(r.families, f)
 	return f
 }
@@ -57,14 +75,8 @@ type HistogramVec struct{ f *family }
 // CounterVec is a family of monotonically increasing counters.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a family of settable gauges.
-type GaugeVec struct{ f *family }
-
 // Counter is one counter series. Nil-safe.
 type Counter struct{ s *series }
-
-// Gauge is one gauge series. Nil-safe.
-type Gauge struct{ s *series }
 
 // NewHistogramVec registers a histogram family. nil bounds selects
 // the default latency buckets.
@@ -75,7 +87,7 @@ func (r *Registry) NewHistogramVec(name, help string, labels []string, bounds []
 	if bounds == nil {
 		bounds = defaultLatencyBounds
 	}
-	return &HistogramVec{f: r.addFamily(name, help, "histogram", labels, bounds)}
+	return &HistogramVec{f: r.add(&family{name: name, help: help, typ: "histogram", labels: labels, bounds: bounds})}
 }
 
 // NewCounterVec registers a counter family.
@@ -83,15 +95,17 @@ func (r *Registry) NewCounterVec(name, help string, labels []string) *CounterVec
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.addFamily(name, help, "counter", labels, nil)}
+	return &CounterVec{f: r.add(&family{name: name, help: help, typ: "counter", labels: labels})}
 }
 
-// NewGaugeVec registers a gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels []string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.addFamily(name, help, "gauge", labels, nil)}
+// NewFunc registers a family of type typ ("counter", "gauge" or
+// "histogram") whose series the registry does not hold: read returns
+// them at every scrape, in any order, from the state their owner keeps
+// (a cache's counters, a tracker's per-graph map, a merged peer
+// document), so the exposition cannot drift from that state. A scrape
+// whose read returns no samples leaves the family out.
+func (r *Registry) NewFunc(name, help, typ string, labels []string, read func() []Sample) {
+	r.add(&family{name: name, help: help, typ: typ, labels: labels, read: read})
 }
 
 // seriesKey joins label values; 0x1f never occurs in our label values
@@ -189,32 +203,10 @@ func (c Counter) Value() int64 {
 	return c.s.val.Load()
 }
 
-// With resolves the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) Gauge {
-	if v == nil || v.f == nil {
-		return Gauge{}
-	}
-	return Gauge{s: v.f.get(values)}
-}
-
-// Set stores the gauge value. Nil-safe.
-func (g Gauge) Set(v float64) {
-	if g.s != nil {
-		g.s.val.Store(int64(floatBits(v)))
-	}
-}
-
-// Value returns the current gauge value.
-func (g Gauge) Value() float64 {
-	if g.s == nil {
-		return 0
-	}
-	return bitsFloat(uint64(g.s.val.Load()))
-}
-
 // WriteProm renders every registered family in Prometheus text
 // exposition format: families sorted by name, series sorted by label
-// values, histograms as cumulative _bucket{le=...}/_sum/_count.
+// values, histograms as cumulative _bucket{le=...}/_sum/_count. A
+// family with no series is left out.
 func (r *Registry) WriteProm(w io.Writer) {
 	if r == nil {
 		return
@@ -224,28 +216,35 @@ func (r *Registry) WriteProm(w io.Writer) {
 	r.mu.RUnlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
+		samples := f.samples()
+		if len(samples) == 0 {
+			continue
 		}
-		sort.Strings(keys)
-		if len(keys) > 0 {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		}
-		for _, k := range keys {
-			s := f.series[k]
-			switch f.typ {
-			case "histogram":
-				writePromHistogram(w, f.name, f.labels, s.labelValues, s.hist.Snapshot())
-			case "gauge":
-				fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, s.labelValues, "", ""), formatFloat(bitsFloat(uint64(s.val.Load()))))
-			default:
-				fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(f.labels, s.labelValues, "", ""), s.val.Load())
+		sort.Slice(samples, func(i, j int) bool { return slices.Compare(samples[i].Labels, samples[j].Labels) < 0 })
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, s := range samples {
+			if f.typ == "histogram" {
+				writePromHistogram(w, f.name, f.labels, s.Labels, s.Hist)
+				continue
 			}
+			fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(f.labels, s.Labels, "", ""), formatFloat(s.Value))
 		}
-		f.mu.RUnlock()
 	}
+}
+
+// samples reads a family's series: from its owner for a scrape-time
+// family, from the registry's own series otherwise.
+func (f *family) samples() []Sample {
+	if f.read != nil {
+		return f.read()
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := make([]Sample, 0, len(f.series))
+	for _, s := range f.series {
+		out = append(out, Sample{Labels: s.labelValues, Value: float64(s.val.Load()), Hist: s.hist.Snapshot()})
+	}
+	return out
 }
 
 func writePromHistogram(w io.Writer, name string, labels, values []string, snap HistogramSnapshot) {
@@ -298,4 +297,11 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// formatFloat prints integral values as integers, so counters and byte
+// sizes read in full rather than in exponent form.
+func formatFloat(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -21,7 +20,7 @@ import (
 // the counters, and reports both the aggregate and the per-node
 // breakdown. Works single-node too (a one-node cluster of itself), so
 // dashboards scrape the same shape everywhere. ?format=prom renders
-// the aggregate in Prometheus exposition.
+// the aggregate as typed colord_cluster_aggregate_* families.
 
 // clusterNodeMetrics is one node's slot in the fan-out result: its
 // full metrics document, or the error that kept it out of the
@@ -41,36 +40,51 @@ type latencySummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// clusterAggregate sums the counters and merges the histograms of
-// every reporting node.
+// clusterSums is the table the cluster aggregate is summed by: each
+// row is one node value, under its key in the JSON aggregate and its
+// series in the Prometheus exposition. On a cluster each recolor
+// improvement is adopted once per holder (primary + replicas), so
+// qualityColorsSaved measures adoption work done, not distinct
+// improvements.
+var clusterSums = []struct {
+	key, name string
+	field     func(m *Metrics) int64
+}{
+	{"requests", "colord_cluster_aggregate_requests_total", func(m *Metrics) int64 { return m.Requests }},
+	{"graphUploads", "colord_cluster_aggregate_graph_uploads_total", func(m *Metrics) int64 { return m.GraphUploads }},
+	{"colorRequests", "colord_cluster_aggregate_color_requests_total", func(m *Metrics) int64 { return m.ColorRequests }},
+	{"colorErrors", "colord_cluster_aggregate_color_errors_total", func(m *Metrics) int64 { return m.ColorErrors }},
+	{"mutateRequests", "colord_cluster_aggregate_mutate_requests_total", func(m *Metrics) int64 { return m.MutateRequests }},
+	{"mutateErrors", "colord_cluster_aggregate_mutate_errors_total", func(m *Metrics) int64 { return m.MutateErrors }},
+	{"mutateFallbacks", "colord_cluster_aggregate_mutate_fallbacks_total", func(m *Metrics) int64 { return m.MutateFallbacks }},
+	{"cacheInvalidations", "colord_cluster_aggregate_cache_invalidations_total", func(m *Metrics) int64 { return m.CacheInvalidations }},
+	{"cacheHits", "colord_cluster_aggregate_cache_hits_total", func(m *Metrics) int64 { return m.Cache.Hits }},
+	{"cacheMisses", "colord_cluster_aggregate_cache_misses_total", func(m *Metrics) int64 { return m.Cache.Misses }},
+	{"cacheEvictions", "colord_cluster_aggregate_cache_evictions_total", func(m *Metrics) int64 { return m.Cache.Evictions }},
+	{"cacheEntries", "colord_cluster_aggregate_cache_entries", func(m *Metrics) int64 { return int64(m.Cache.Entries) }},
+	{"persistErrors", "colord_cluster_aggregate_persist_errors_total", func(m *Metrics) int64 { return m.PersistErrors }},
+	{"compactRequests", "colord_cluster_aggregate_compact_requests_total", func(m *Metrics) int64 { return m.CompactRequests }},
+	{"qualityPasses", "colord_cluster_aggregate_quality_passes_total", func(m *Metrics) int64 { return m.qualityOrZero().Passes }},
+	{"qualityImprovements", "colord_cluster_aggregate_quality_improvements_total", func(m *Metrics) int64 { return m.qualityOrZero().Improvements }},
+	{"qualityColorsSaved", "colord_cluster_aggregate_quality_colors_saved_total", func(m *Metrics) int64 { return m.qualityOrZero().ColorsSaved }},
+	{"histMergeMismatches", "colord_cluster_aggregate_hist_merge_mismatches_total", func(m *Metrics) int64 { return m.HistMergeMismatches }},
+}
+
+// qualityOrZero is m's quality block, zero when a peer's document
+// carries none.
+func (m *Metrics) qualityOrZero() QualityMetrics {
+	if m.Quality == nil {
+		return QualityMetrics{}
+	}
+	return *m.Quality
+}
+
+// clusterAggregate is the fold of every reporting node's document: the
+// clusterSums sums by key, and each endpoint's latency histogram merged
+// bucket by bucket.
 type clusterAggregate struct {
-	Requests           int64 `json:"requests"`
-	GraphUploads       int64 `json:"graphUploads"`
-	ColorRequests      int64 `json:"colorRequests"`
-	ColorErrors        int64 `json:"colorErrors"`
-	MutateRequests     int64 `json:"mutateRequests"`
-	MutateErrors       int64 `json:"mutateErrors"`
-	MutateFallbacks    int64 `json:"mutateFallbacks"`
-	CacheInvalidations int64 `json:"cacheInvalidations"`
-	CacheHits          int64 `json:"cacheHits"`
-	CacheMisses        int64 `json:"cacheMisses"`
-	CacheEvictions     int64 `json:"cacheEvictions"`
-	CacheEntries       int64 `json:"cacheEntries"`
-	PersistErrors      int64 `json:"persistErrors"`
-	CompactRequests    int64 `json:"compactRequests"`
-	// Quality totals across nodes. On a cluster each improvement is
-	// adopted once per holder (primary + replicas), so ColorsSaved here
-	// measures adoption work done, not distinct improvements.
-	QualityPasses       int64 `json:"qualityPasses"`
-	QualityImprovements int64 `json:"qualityImprovements"`
-	QualityColorsSaved  int64 `json:"qualityColorsSaved"`
-	HistMergeMismatches int64 `json:"histMergeMismatches"`
-	// HTTPLatency maps each endpoint to the bucket-merged histogram of
-	// every reporting node; LatencySummary derives p50/p95/p99 from it
-	// (present only for endpoints with observations — quantiles of an
-	// empty histogram are undefined, and NaN has no JSON encoding).
-	HTTPLatency    map[string]obs.HistogramSnapshot `json:"httpLatency,omitempty"`
-	LatencySummary map[string]latencySummary        `json:"latencySummary,omitempty"`
+	sums   map[string]int64
+	merged map[string]obs.HistogramSnapshot
 }
 
 // clusterMetricsDoc is the GET /v1/cluster/metrics response.
@@ -82,7 +96,12 @@ type clusterMetricsDoc struct {
 	NodesTotal     int                  `json:"nodesTotal"`
 	NodesReporting int                  `json:"nodesReporting"`
 	Nodes          []clusterNodeMetrics `json:"nodes"`
-	Aggregate      clusterAggregate     `json:"aggregate"`
+	// Aggregate holds every clusterSums key with its sum, httpLatency
+	// with the merged histograms, and latencySummary with their
+	// p50/p95/p99 (present only for endpoints with observations —
+	// quantiles of an empty histogram are undefined, and NaN has no
+	// JSON encoding).
+	Aggregate map[string]any `json:"aggregate"`
 }
 
 // fetchPeerMetrics scrapes one peer's /metrics JSON document over the
@@ -114,7 +133,7 @@ func (s *Server) fetchPeerMetrics(peer string) (*Metrics, error) {
 
 // buildClusterMetrics assembles the document: concurrent peer scrapes,
 // then a deterministic fold in node order.
-func (s *Server) buildClusterMetrics() clusterMetricsDoc {
+func (s *Server) buildClusterMetrics() (clusterMetricsDoc, clusterAggregate) {
 	doc := clusterMetricsDoc{Self: s.node}
 	var nodes []string
 	if s.cl != nil {
@@ -154,54 +173,69 @@ func (s *Server) buildClusterMetrics() clusterMetricsDoc {
 	}
 	wg.Wait()
 
-	agg := &doc.Aggregate
-	merged := make(map[string]obs.HistogramSnapshot)
+	agg := clusterAggregate{sums: make(map[string]int64, len(clusterSums)), merged: make(map[string]obs.HistogramSnapshot)}
 	for _, n := range doc.Nodes {
 		m := n.Metrics
 		if m == nil {
 			continue
 		}
 		doc.NodesReporting++
-		agg.Requests += m.Requests
-		agg.GraphUploads += m.GraphUploads
-		agg.ColorRequests += m.ColorRequests
-		agg.ColorErrors += m.ColorErrors
-		agg.MutateRequests += m.MutateRequests
-		agg.MutateErrors += m.MutateErrors
-		agg.MutateFallbacks += m.MutateFallbacks
-		agg.CacheInvalidations += m.CacheInvalidations
-		agg.CacheHits += m.Cache.Hits
-		agg.CacheMisses += m.Cache.Misses
-		agg.CacheEvictions += m.Cache.Evictions
-		agg.CacheEntries += int64(m.Cache.Entries)
-		agg.PersistErrors += m.PersistErrors
-		agg.CompactRequests += m.CompactRequests
-		agg.HistMergeMismatches += m.HistMergeMismatches
-		if m.Quality != nil {
-			agg.QualityPasses += m.Quality.Passes
-			agg.QualityImprovements += m.Quality.Improvements
-			agg.QualityColorsSaved += m.Quality.ColorsSaved
+		for _, c := range clusterSums {
+			agg.sums[c.key] += c.field(m)
 		}
 		for ep, snap := range m.HTTPLatency {
-			merged[ep] = merged[ep].Merge(snap)
-		}
-	}
-	if len(merged) > 0 {
-		agg.HTTPLatency = merged
-		agg.LatencySummary = make(map[string]latencySummary, len(merged))
-		for ep, snap := range merged {
-			if snap.Count <= 0 {
+			// A snapshot with no finite bound or buckets that do not
+			// match its bounds (a peer on another build, a hand-made
+			// document) cannot be merged or read for quantiles: it
+			// stays out, counted as a mismatch.
+			if !snap.Valid() {
+				agg.sums["histMergeMismatches"]++
 				continue
 			}
-			agg.LatencySummary[ep] = latencySummary{
-				Count: snap.Count,
-				P50:   snap.Quantile(0.50),
-				P95:   snap.Quantile(0.95),
-				P99:   snap.Quantile(0.99),
-			}
+			agg.merged[ep] = agg.merged[ep].Merge(snap)
 		}
 	}
-	return doc
+	doc.Aggregate = make(map[string]any, len(clusterSums)+2)
+	for k, v := range agg.sums {
+		doc.Aggregate[k] = v
+	}
+	if len(agg.merged) > 0 {
+		summary := make(map[string]latencySummary, len(agg.merged))
+		for ep, snap := range agg.merged {
+			if snap.Count > 0 {
+				summary[ep] = latencySummary{Count: snap.Count, P50: snap.Quantile(0.50), P95: snap.Quantile(0.95), P99: snap.Quantile(0.99)}
+			}
+		}
+		doc.Aggregate["httpLatency"] = agg.merged
+		doc.Aggregate["latencySummary"] = summary
+	}
+	return doc, agg
+}
+
+// registry renders the cluster document as typed families read from
+// this scrape's fold: the serving node's view of the membership, one
+// family per clusterSums row and the merged latency histograms.
+// latencySummary is their histogram_quantile; the per-node documents
+// stay in the JSON shape and on each node's own /metrics.
+func (a clusterAggregate) registry(doc clusterMetricsDoc) *obs.Registry {
+	r := obs.NewRegistry()
+	value := func(name, help string, v int64) {
+		r.NewFunc(name, help, promType(name), nil, func() []obs.Sample { return obs.Value(float64(v)) })
+	}
+	value("colord_cluster_epoch", "Membership epoch of the serving node.", int64(doc.Epoch))
+	value("colord_cluster_nodes", "Cluster members.", int64(doc.NodesTotal))
+	value("colord_cluster_nodes_reporting", "Members whose metrics this scrape aggregated.", int64(doc.NodesReporting))
+	for _, c := range clusterSums {
+		value(c.name, "The nodes' "+c.key+", summed over the reporting nodes.", a.sums[c.key])
+	}
+	r.NewFunc("colord_cluster_aggregate_http_request_duration_seconds", "HTTP request duration by endpoint, merged over the reporting nodes.", "histogram", []string{"endpoint"}, func() []obs.Sample {
+		out := make([]obs.Sample, 0, len(a.merged))
+		for ep, snap := range a.merged {
+			out = append(out, obs.Sample{Labels: []string{ep}, Hist: snap})
+		}
+		return out
+	})
+	return r
 }
 
 // handleClusterMetrics serves GET /v1/cluster/metrics (JSON, or
@@ -211,16 +245,10 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %s on /v1/cluster/metrics (want GET)", ErrMethodNotAllowed, r.Method))
 		return
 	}
-	doc := s.buildClusterMetrics()
-	if r.URL.Query().Get("format") == "prom" || strings.Contains(r.Header.Get("Accept"), "text/plain") {
+	doc, agg := s.buildClusterMetrics()
+	if wantsProm(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// The flattener skips the Nodes array (and every string field),
-		// so the exposition carries the self/epoch identity gauges and
-		// the full aggregate — per-node drill-down stays in the JSON
-		// shape and each node's own /metrics.
-		if err := obs.WritePromFromJSON(w, "colord_cluster", doc); err != nil {
-			writeError(w, err)
-		}
+		agg.registry(doc).WriteProm(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)

@@ -384,7 +384,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, name strin
 	// widen the palette; the SLO view must not keep reporting the
 	// tighter pre-mutation count).
 	s.qtr.Observe(name, res.NumColors, res.Version)
-	s.updateQualityGauges(name)
 	writeJSONCompact(w, http.StatusOK, MutateResponse{
 		Graph:            name,
 		Version:          res.Version,

@@ -4,13 +4,18 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/quality"
+	"repro/internal/store"
 )
 
 // serverMetrics bundles every obs handle the serving layer observes
@@ -48,17 +53,8 @@ type serverMetrics struct {
 	// includes the fsync; compaction spans snapshot write → adoption).
 	walAppend  *obs.Histogram
 	compaction *obs.Histogram
-	// recolorPass: wall time of one background iterated-greedy visit;
-	// recolorSaved: total colors removed by adopted improvements.
-	recolorPass  *obs.Histogram
-	recolorSaved obs.Counter
-	// qualColors / qualTarget / qualMet: per-graph quality gauges —
-	// maintained color count, targetColors objective (0: none) and
-	// whether the SLO is met (1/0). Cardinality is bounded by the
-	// registry, not by requests.
-	qualColors *obs.GaugeVec
-	qualTarget *obs.GaugeVec
-	qualMet    *obs.GaugeVec
+	// recolorPass: wall time of one background iterated-greedy visit.
+	recolorPass *obs.Histogram
 }
 
 func newServerMetrics() *serverMetrics {
@@ -81,11 +77,150 @@ func newServerMetrics() *serverMetrics {
 		walAppend:    r.NewHistogramVec("colord_store_wal_append_seconds", "WAL append+fsync duration.", nil, nil).With(),
 		compaction:   r.NewHistogramVec("colord_store_compaction_seconds", "Compaction duration (snapshot write through adoption).", nil, nil).With(),
 		recolorPass:  r.NewHistogramVec("colord_recolor_pass_seconds", "Background iterated-greedy recolor visit duration.", nil, nil).With(),
-		recolorSaved: r.NewCounterVec("colord_recolor_colors_saved_total", "Colors removed from maintained colorings by adopted recolor improvements.", nil).With(),
-		qualColors:   r.NewGaugeVec("colord_graph_quality_colors", "Maintained coloring's distinct color count by graph.", []string{"graph"}),
-		qualTarget:   r.NewGaugeVec("colord_graph_quality_target_colors", "targetColors quality objective by graph (0: none).", []string{"graph"}),
-		qualMet:      r.NewGaugeVec("colord_graph_quality_slo_met", "Whether the graph's quality SLO is met (1) or not (0).", []string{"graph"}),
 	}
+}
+
+// registerMetrics creates the server's request counters and the
+// families read at scrape time from the owners SnapshotMetrics reads
+// for the JSON document, so s.met.reg renders every Prometheus series
+// of /metrics, each once. A family's type follows its name: _total
+// names a counter, anything else a gauge.
+func (s *Server) registerMetrics() {
+	r := s.met.reg
+	counter := func(name, help string) obs.Counter { return r.NewCounterVec(name, help, nil).With() }
+	s.requests = counter("colord_requests_total", "API requests received.")
+	s.graphUploads = counter("colord_graph_uploads_total", "Graph registrations served.")
+	s.colorRequests = counter("colord_color_requests_total", "POST /v1/color requests.")
+	s.colorErrors = counter("colord_color_errors_total", "POST /v1/color requests that failed.")
+	s.mutateRequests = counter("colord_mutate_requests_total", "Mutation batches received.")
+	s.mutateErrors = counter("colord_mutate_errors_total", "Mutation batches that failed.")
+	s.mutateFallbacks = counter("colord_mutate_fallbacks_total", "Mutation batches repaired by a full recolor instead of the localized repair.")
+	s.cacheInvalidations = counter("colord_cache_invalidations_total", "Cached colorings purged by mutations, received batches and recolor adoptions.")
+	s.persistErrors = counter("colord_persist_errors_total", "Batches or registrations the store failed to make durable.")
+	s.compactRequests = counter("colord_compact_requests_total", "POST /v1/admin/compact requests.")
+	s.clusterProxied = counter("colord_cluster_proxied_total", "Requests proxied to another node.")
+	s.clusterReplicated = counter("colord_cluster_replicated_batches_total", "Mutation batches a replica acknowledged.")
+	s.clusterReplErrors = counter("colord_cluster_replication_errors_total", "Replication, recolor and quality fan-out calls a peer failed.")
+	s.clusterHopRejections = counter("colord_cluster_hop_rejections_total", "Forwarded requests refused a second hop.")
+	s.clusterCatchups = counter("colord_cluster_catchup_batches_total", "Batches replayed from a peer's WAL tail.")
+	s.clusterLeaseRenewals = counter("colord_cluster_lease_renewals_total", "Primary write leases granted or renewed.")
+	s.clusterLeaseFenced = counter("colord_cluster_lease_fenced_total", "Writes refused for lack of a primary lease.")
+	s.clusterResyncs = counter("colord_cluster_resyncs_total", "Graphs reset onto a peer's snapshot.")
+	s.clusterKeyHomeServes = counter("colord_cluster_key_home_serves_total", "Color reads served as the key's home.")
+	s.clusterKeyLocalHits = counter("colord_cluster_key_local_hits_total", "Color reads served off-home from the local cache.")
+
+	gauge := func(name, help string, read func() (float64, bool)) {
+		r.NewFunc(name, help, promType(name), nil, func() []obs.Sample {
+			if v, ok := read(); ok {
+				return obs.Value(v)
+			}
+			return nil
+		})
+	}
+	always := func(name, help string, read func() float64) {
+		gauge(name, help, func() (float64, bool) { return read(), true })
+	}
+	cache := func() CacheStats { return s.mgr.Cache().Stats() }
+	always("colord_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(s.start).Seconds() })
+	always("colord_graphs", "Registered graphs.", func() float64 { return float64(s.reg.Len()) })
+	always("colord_cache_hits_total", "Result cache hits.", func() float64 { return float64(cache().Hits) })
+	always("colord_cache_misses_total", "Result cache misses.", func() float64 { return float64(cache().Misses) })
+	always("colord_cache_evictions_total", "Result cache evictions.", func() float64 { return float64(cache().Evictions) })
+	always("colord_cache_entries", "Colorings in the result cache.", func() float64 { return float64(cache().Entries) })
+	always("colord_cache_capacity", "Result cache capacity in entries.", func() float64 { return float64(cache().Capacity) })
+	always("colord_cache_hit_rate", "Result cache hits over lookups.", func() float64 { return cache().HitRate() })
+	always("colord_jobs_max_inflight", "Inflight coloring slots.", func() float64 { return float64(s.mgr.Stats().MaxInflight) })
+	always("colord_jobs_inflight", "Coloring slots held.", func() float64 { return float64(s.mgr.Stats().Inflight) })
+	always("colord_jobs_completed_total", "Coloring jobs completed.", func() float64 { return float64(s.mgr.Stats().Completed) })
+	always("colord_jobs_cancelled_total", "Coloring jobs cancelled by a deadline or a client.", func() float64 { return float64(s.mgr.Stats().Cancelled) })
+	always("colord_jobs_failed_total", "Coloring jobs failed.", func() float64 { return float64(s.mgr.Stats().Failed) })
+	always("colord_jobs_coalesced_total", "Requests served by an identical in-flight run.", func() float64 { return float64(s.mgr.Stats().Coalesced) })
+	always("colord_pool_forks_total", "Fork-join regions that forked.", func() float64 { return float64(par.DefaultPoolStats().Forks) })
+	always("colord_pool_dispatches_total", "Blocks handed to parked pool workers.", func() float64 { return float64(par.DefaultPoolStats().Dispatches) })
+	always("colord_pool_inline_blocks_total", "Blocks the forking goroutine ran itself.", func() float64 { return float64(par.DefaultPoolStats().InlineBlocks) })
+	always("colord_pool_seq_cutoff_hits_total", "Parallel calls run inline under the sequential grain.", func() float64 { return float64(par.DefaultPoolStats().SeqCutoffHits) })
+	always("colord_pool_workers", "Worker pool size.", func() float64 { return float64(par.Default().Procs()) })
+	always("colord_go_max_procs", "GOMAXPROCS.", func() float64 { return float64(runtime.GOMAXPROCS(0)) })
+	always("colord_hist_merge_mismatches_total", "Histogram merges dropped for mismatched bucket layouts.", func() float64 { return float64(obs.MergeMismatches()) })
+
+	stored := func(name, help string, field func(store.Stats) int64) {
+		gauge(name, help, func() (float64, bool) {
+			if s.st == nil {
+				return 0, false
+			}
+			return float64(field(s.st.Stats())), true
+		})
+	}
+	stored("colord_store_graphs", "Persisted graphs.", func(st store.Stats) int64 { return int64(st.Graphs) })
+	stored("colord_store_snapshots", "Persisted graphs with a snapshot.", func(st store.Stats) int64 { return int64(st.Snapshots) })
+	stored("colord_store_snapshot_bytes", "Bytes of the live snapshots.", func(st store.Stats) int64 { return st.SnapshotBytes })
+	stored("colord_store_wal_bytes", "Bytes of the WALs.", func(st store.Stats) int64 { return st.WALBytes })
+	stored("colord_store_wal_records", "Records in the WALs.", func(st store.Stats) int64 { return st.WALRecords })
+	stored("colord_store_wal_appends_total", "WAL appends.", func(st store.Stats) int64 { return st.WALAppends })
+	stored("colord_store_compactions_total", "Compactions committed.", func(st store.Stats) int64 { return st.Compactions })
+	stored("colord_store_recovered_graphs", "Graphs recovered at boot.", func(st store.Stats) int64 { return int64(st.RecoveredGraphs) })
+	stored("colord_store_replayed_batches", "WAL batches replayed at boot.", func(st store.Stats) int64 { return int64(st.ReplayedBatches) })
+	stored("colord_store_truncated_wals", "WALs whose torn tail was cut at boot.", func(st store.Stats) int64 { return int64(st.TruncatedWALs) })
+
+	member := func(name, help string, field func(*cluster.Cluster) int) {
+		gauge(name, help, func() (float64, bool) {
+			if s.cl == nil {
+				return 0, false
+			}
+			return float64(field(s.cl.c)), true
+		})
+	}
+	member("colord_cluster_nodes", "Cluster members.", func(c *cluster.Cluster) int { return len(c.Nodes()) })
+	member("colord_cluster_replicas", "Placement set size per graph.", (*cluster.Cluster).Replicas)
+	member("colord_cluster_epoch", "Membership epoch.", func(c *cluster.Cluster) int { return int(c.Epoch()) })
+
+	always("colord_quality_enabled", "Whether the background recolor worker runs (1) or not (0).", func() float64 {
+		if s.qrun != nil {
+			return 1
+		}
+		return 0
+	})
+	always("colord_quality_cycles_total", "Recolor worker wakeups that swept.", func() float64 { return float64(s.qualityMetrics().Cycles) })
+	always("colord_quality_skipped_cycles_total", "Recolor worker wakeups skipped because jobs were inflight.", func() float64 { return float64(s.qualityMetrics().SkippedCycles) })
+	always("colord_quality_passes_total", "Iterated-greedy passes run.", func() float64 { p, _, _ := s.qtr.Totals(); return float64(p) })
+	always("colord_quality_improvements_total", "Recolor improvements adopted.", func() float64 { _, i, _ := s.qtr.Totals(); return float64(i) })
+	always("colord_recolor_colors_saved_total", "Colors removed from maintained colorings by adopted recolor improvements.", func() float64 { _, _, c := s.qtr.Totals(); return float64(c) })
+
+	// One series per tracked graph, labeled by its name, so graphs whose
+	// names differ only in punctuation or case keep their own series.
+	tracked := func(name, help string, field func(quality.State) int64) {
+		r.NewFunc(name, help, promType(name), []string{"graph"}, func() []obs.Sample {
+			snap := s.qtr.Snapshot()
+			out := make([]obs.Sample, 0, len(snap))
+			for g, st := range snap {
+				out = append(out, obs.Sample{Labels: []string{g}, Value: float64(field(st))})
+			}
+			return out
+		})
+	}
+	tracked("colord_graph_quality_colors", "Maintained coloring's distinct color count by graph.", func(st quality.State) int64 { return int64(st.Colors) })
+	tracked("colord_graph_quality_initial_colors", "Distinct color count at the graph's first observation.", func(st quality.State) int64 { return int64(st.InitialColors) })
+	tracked("colord_graph_quality_target_colors", "targetColors quality objective by graph (0: none).", func(st quality.State) int64 { return int64(st.TargetColors) })
+	tracked("colord_graph_quality_version", "Graph version the color count was observed at.", func(st quality.State) int64 { return int64(st.Version) })
+	tracked("colord_graph_quality_passes_total", "Iterated-greedy passes run by graph.", func(st quality.State) int64 { return st.Passes })
+	tracked("colord_graph_quality_improvements_total", "Recolor improvements adopted by graph.", func(st quality.State) int64 { return st.Improvements })
+	tracked("colord_graph_quality_colors_saved_total", "Colors removed by adopted recolor improvements by graph.", func(st quality.State) int64 { return st.ColorsSaved })
+	tracked("colord_graph_quality_last_pass_timestamp_seconds", "Unix time of the graph's last recolor pass (0: never).", func(st quality.State) int64 { return st.LastPassUnix })
+	tracked("colord_graph_quality_last_improvement_timestamp_seconds", "Unix time of the graph's last adopted improvement (0: never).", func(st quality.State) int64 { return st.LastImprovementUnix })
+	tracked("colord_graph_quality_slo_met", "Whether the graph's quality SLO is met (1) or not (0).", func(st quality.State) int64 {
+		if st.Met() {
+			return 1
+		}
+		return 0
+	})
+}
+
+// promType is the exposition type a family's name implies.
+func promType(name string) string {
+	if strings.HasSuffix(name, "_total") {
+		return "counter"
+	}
+	return "gauge"
 }
 
 // httpSnapshots merges the per-(endpoint, class) series into one

@@ -153,7 +153,6 @@ func (s *Server) restoreGraph(rg store.RecoveredGraph, stats *RecoveryStats) err
 		// is the graph's current quality baseline. targetColors objectives
 		// are in-memory only and do not survive the restart.
 		s.qtr.Observe(rg.Name, dyn.NumColors(), dyn.Version())
-		s.updateQualityGauges(rg.Name)
 	}
 	return nil
 }

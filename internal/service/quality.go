@@ -130,7 +130,6 @@ func (s *Server) recolorVisit(ctx context.Context, name string, budget int) {
 	}
 	s.qtr.RecordPass(name, res.Passes, saved, time.Now())
 	if saved > 0 {
-		s.met.recolorSaved.Add(int64(saved))
 		s.qtr.Observe(name, res.NumColors, version)
 		// The adoption is a new cache generation at the same
 		// graphVersion: purge every cached coloring of the graph and
@@ -144,23 +143,6 @@ func (s *Server) recolorVisit(ctx context.Context, name string, budget int) {
 			s.shipRecolor(name, version, res.NumColors, res.Colors)
 		}
 	}
-	s.updateQualityGauges(name)
-}
-
-// updateQualityGauges mirrors one graph's tracker state into the
-// labeled Prometheus gauges.
-func (s *Server) updateQualityGauges(name string) {
-	st, ok := s.qtr.Get(name)
-	if !ok {
-		return
-	}
-	s.met.qualColors.With(name).Set(float64(st.Colors))
-	s.met.qualTarget.With(name).Set(float64(st.TargetColors))
-	met := 0.0
-	if st.Met() {
-		met = 1
-	}
-	s.met.qualMet.With(name).Set(met)
 }
 
 // recolorShipment is the POST /v1/internal/recolor body: an adopted
@@ -236,7 +218,6 @@ func (s *Server) handleRecolorInternal(w http.ResponseWriter, r *http.Request) {
 			s.scheduleCompact(ship.Graph)
 		}
 	}
-	s.updateQualityGauges(ship.Graph)
 	writeJSON(w, http.StatusOK, recolorAck{Graph: ship.Graph, Adopted: adopted, Colors: nc})
 }
 
@@ -334,7 +315,6 @@ func (s *Server) handleGraphQuality(w http.ResponseWriter, r *http.Request, name
 			return
 		}
 		s.qtr.SetTarget(name, *patch.TargetColors)
-		s.updateQualityGauges(name)
 		if s.cl != nil && r.Header.Get(replicatedHeader) == "" && s.cl.c.IsActivePrimary(name) {
 			s.fanoutQuality(name, body, r.Header.Get(obs.RequestIDHeader))
 		}

@@ -239,7 +239,7 @@ func TestRecolorAdoptionSwapsCacheGeneration(t *testing.T) {
 	if saved == 0 {
 		t.Skip("no strict improvement found on the fixture; adoption path not reachable here")
 	}
-	invalidations := s.cacheInvalidations.Load()
+	invalidations := s.cacheInvalidations.Value()
 	v1, after := readMaintained()
 	if v1 != v0 {
 		t.Fatalf("adoption bumped graphVersion %d -> %d", v0, v1)
@@ -277,7 +277,14 @@ func TestClusterMetricsSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer get.Body.Close()
-	var doc clusterMetricsDoc
+	var doc struct {
+		NodesTotal, NodesReporting int
+		Nodes                      []clusterNodeMetrics
+		Aggregate                  struct {
+			Requests, ColorRequests int64
+			LatencySummary          map[string]latencySummary
+		}
+	}
 	if err := json.NewDecoder(get.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +308,8 @@ func TestClusterMetricsSingleNode(t *testing.T) {
 	}
 
 	// Prom shape: parses as exposition lines, carries the aggregate.
-	promResp, err := http.Get(ts.URL + "/v1/cluster/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer promResp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(promResp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, "colord_cluster_aggregate_color_requests") {
+	text, _ := getText(t, ts.URL+"/v1/cluster/metrics?format=prom", "")
+	if !strings.Contains(text, "colord_cluster_aggregate_color_requests_total 1\n") {
 		t.Fatalf("prom exposition missing aggregate counters:\n%.500s", text)
 	}
 	if strings.Contains(text, "NaN") {

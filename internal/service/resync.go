@@ -343,7 +343,6 @@ func (s *Server) fetchTail(peer, name string, after uint64) ([]tailRecord, error
 func (s *Server) received(name string, numColors int, version uint64) {
 	s.cacheInvalidations.Add(int64(s.mgr.Cache().DeleteGraph(name)))
 	s.qtr.Observe(name, numColors, version)
-	s.updateQualityGauges(name)
 }
 
 // handleSnapshot serves GET /v1/internal/snapshot?graph=G: the full

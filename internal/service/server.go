@@ -70,27 +70,29 @@ type Server struct {
 	qtr  *quality.Tracker
 	qrun *quality.Runner
 
-	requests           atomic.Int64 // every API request
-	graphUploads       atomic.Int64
-	colorRequests      atomic.Int64
-	colorErrors        atomic.Int64
-	mutateRequests     atomic.Int64
-	mutateErrors       atomic.Int64
-	mutateFallbacks    atomic.Int64
-	cacheInvalidations atomic.Int64
-	persistErrors      atomic.Int64
-	compactRequests    atomic.Int64
+	// Request counters: registry series (see registerMetrics) that
+	// SnapshotMetrics reads for the JSON document.
+	requests           obs.Counter // every API request
+	graphUploads       obs.Counter
+	colorRequests      obs.Counter
+	colorErrors        obs.Counter
+	mutateRequests     obs.Counter
+	mutateErrors       obs.Counter
+	mutateFallbacks    obs.Counter
+	cacheInvalidations obs.Counter
+	persistErrors      obs.Counter
+	compactRequests    obs.Counter
 
-	clusterProxied       atomic.Int64
-	clusterReplicated    atomic.Int64
-	clusterReplErrors    atomic.Int64
-	clusterHopRejections atomic.Int64
-	clusterCatchups      atomic.Int64
-	clusterLeaseRenewals atomic.Int64
-	clusterLeaseFenced   atomic.Int64
-	clusterResyncs       atomic.Int64
-	clusterKeyHomeServes atomic.Int64
-	clusterKeyLocalHits  atomic.Int64
+	clusterProxied       obs.Counter
+	clusterReplicated    obs.Counter
+	clusterReplErrors    obs.Counter
+	clusterHopRejections obs.Counter
+	clusterCatchups      obs.Counter
+	clusterLeaseRenewals obs.Counter
+	clusterLeaseFenced   obs.Counter
+	clusterResyncs       obs.Counter
+	clusterKeyHomeServes obs.Counter
+	clusterKeyLocalHits  obs.Counter
 
 	// faultAdmin gates /v1/admin/faults (colord's -fault-injection).
 	faultAdmin atomic.Bool
@@ -111,6 +113,7 @@ func NewServer(cfg ManagerConfig) *Server {
 		qtr:   quality.NewTracker(),
 	}
 	s.mgr.met = s.met
+	s.registerMetrics()
 	s.mux.HandleFunc("/v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("/v1/graphs/", s.handleGraphSub)
 	s.mux.HandleFunc("/v1/color", s.handleColor)
@@ -422,7 +425,6 @@ func (s *Server) registerGraph(req graphUploadRequest) (*GraphEntry, error) {
 	setTarget := func(e *GraphEntry) {
 		if req.TargetColors > 0 {
 			s.qtr.SetTarget(req.Name, req.TargetColors)
-			s.updateQualityGauges(req.Name)
 		}
 	}
 	if old, err := s.reg.CheckExisting(req.Name, req.Spec); err != nil {
@@ -620,14 +622,14 @@ func (s *Server) SnapshotMetrics() Metrics {
 	cs := s.mgr.Cache().Stats()
 	m := Metrics{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
-		Requests:           s.requests.Load(),
-		GraphUploads:       s.graphUploads.Load(),
-		ColorRequests:      s.colorRequests.Load(),
-		ColorErrors:        s.colorErrors.Load(),
-		MutateRequests:     s.mutateRequests.Load(),
-		MutateErrors:       s.mutateErrors.Load(),
-		MutateFallbacks:    s.mutateFallbacks.Load(),
-		CacheInvalidations: s.cacheInvalidations.Load(),
+		Requests:           s.requests.Value(),
+		GraphUploads:       s.graphUploads.Value(),
+		ColorRequests:      s.colorRequests.Value(),
+		ColorErrors:        s.colorErrors.Value(),
+		MutateRequests:     s.mutateRequests.Value(),
+		MutateErrors:       s.mutateErrors.Value(),
+		MutateFallbacks:    s.mutateFallbacks.Value(),
+		CacheInvalidations: s.cacheInvalidations.Value(),
 		Graphs:             s.reg.Len(),
 		Algorithms:         harness.Names(),
 		Cache:              cs,
@@ -638,8 +640,8 @@ func (s *Server) SnapshotMetrics() Metrics {
 		GoMaxProcs:         runtime.GOMAXPROCS(0),
 	}
 	m.Jobs.RunsByProcs = s.met.runsByProcs()
-	m.PersistErrors = s.persistErrors.Load()
-	m.CompactRequests = s.compactRequests.Load()
+	m.PersistErrors = s.persistErrors.Value()
+	m.CompactRequests = s.compactRequests.Value()
 	if s.st != nil {
 		st := s.st.Stats()
 		m.Store = &st
@@ -650,16 +652,16 @@ func (s *Server) SnapshotMetrics() Metrics {
 			Nodes:             len(s.cl.c.Nodes()),
 			Replicas:          s.cl.c.Replicas(),
 			Epoch:             s.cl.c.Epoch(),
-			Proxied:           s.clusterProxied.Load(),
-			ReplicatedBatches: s.clusterReplicated.Load(),
-			ReplicationErrors: s.clusterReplErrors.Load(),
-			HopRejections:     s.clusterHopRejections.Load(),
-			CatchupBatches:    s.clusterCatchups.Load(),
-			LeaseRenewals:     s.clusterLeaseRenewals.Load(),
-			LeaseFenced:       s.clusterLeaseFenced.Load(),
-			Resyncs:           s.clusterResyncs.Load(),
-			KeyHomeServes:     s.clusterKeyHomeServes.Load(),
-			KeyLocalHits:      s.clusterKeyLocalHits.Load(),
+			Proxied:           s.clusterProxied.Value(),
+			ReplicatedBatches: s.clusterReplicated.Value(),
+			ReplicationErrors: s.clusterReplErrors.Value(),
+			HopRejections:     s.clusterHopRejections.Value(),
+			CatchupBatches:    s.clusterCatchups.Value(),
+			LeaseRenewals:     s.clusterLeaseRenewals.Value(),
+			LeaseFenced:       s.clusterLeaseFenced.Value(),
+			Resyncs:           s.clusterResyncs.Value(),
+			KeyHomeServes:     s.clusterKeyHomeServes.Value(),
+			KeyLocalHits:      s.clusterKeyLocalHits.Value(),
 		}
 	}
 	m.Quality = s.qualityMetrics()
@@ -733,32 +735,23 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// promSnapshot is the Metrics document the Prometheus view flattens
-// into gauges: the fields the obs registry exposes natively (the
-// latency histograms and the runs-by-procs counter) are cleared, since
-// flattening them would only duplicate them.
-func (s *Server) promSnapshot() Metrics {
-	m := s.SnapshotMetrics()
-	m.HTTPLatency = nil
-	m.Jobs.RunsByProcs = nil
-	return m
-}
-
 // handleMetrics serves the metrics document in two negotiated shapes:
 // the JSON snapshot (unchanged — existing clients and tests), or
 // Prometheus text exposition when the client asks via ?format=prom or
-// Accept: text/plain. The prom view is the JSON document flattened
-// into gauges (every numeric field, automatically in sync) plus the
-// obs registry's histograms and labeled counters.
+// Accept: text/plain. The obs registry renders the exposition alone:
+// every JSON value has its typed family there (see registerMetrics),
+// read from the same counters and owners.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" || strings.Contains(r.Header.Get("Accept"), "text/plain") {
+	if wantsProm(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.WritePromFromJSON(w, "colord", s.promSnapshot()); err != nil {
-			writeError(w, err)
-			return
-		}
 		s.met.reg.WriteProm(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.SnapshotMetrics())
+}
+
+// wantsProm reports whether a metrics request asks for Prometheus text
+// exposition rather than JSON.
+func wantsProm(r *http.Request) bool {
+	return r.URL.Query().Get("format") == "prom" || strings.Contains(r.Header.Get("Accept"), "text/plain")
 }

@@ -223,7 +223,7 @@ func clique(k int) [][2]uint32 {
 }
 
 // qualityMatchesMaintained fails the test unless n's quality tracker
-// and its colord_graph_quality_colors gauge report the distinct color
+// and its colord_graph_quality_colors series report the distinct color
 // count and version of n's maintained coloring of g.
 func qualityMatchesMaintained(t *testing.T, n *testNode, g string, wantVersion uint64, minColors int) {
 	t.Helper()
@@ -239,8 +239,8 @@ func qualityMatchesMaintained(t *testing.T, n *testNode, g string, wantVersion u
 	if !ok || st.Colors != nc || st.Version != version {
 		t.Fatalf("quality tracker %+v (known %v), want %d colors at version %d", st, ok, nc, version)
 	}
-	if gauge := n.srv().met.qualColors.With(g).Value(); gauge != float64(nc) {
-		t.Fatalf("colord_graph_quality_colors = %v, want %d", gauge, nc)
+	if got, ok := promValue(n.srv(), `colord_graph_quality_colors{graph="`+g+`"}`); !ok || got != float64(nc) {
+		t.Fatalf("colord_graph_quality_colors = %v (present %v), want %d", got, ok, nc)
 	}
 }
 
