@@ -179,8 +179,9 @@
 // # Observability
 //
 // /metrics content-negotiates: the default JSON document is unchanged,
-// and Prometheus text exposition format (histograms included) is
-// served when the client asks for it:
+// and Prometheus text exposition format is served when the client asks
+// for it. One obs registry renders it: each JSON value has one typed
+// family (counters end in _total), plus the latency histograms:
 //
 //	curl -s localhost:8712/metrics?format=prom
 //	curl -s -H 'Accept: text/plain' localhost:8712/metrics

@@ -81,6 +81,26 @@ type graphStore struct {
 	// life of the process.
 	snap    *Snapshot
 	retired []*Snapshot
+	// walBytes, walRecords and snapBytes are the sizes Stats reports
+	// (snapBytes 0: no snapshot), published under mu wherever the WAL
+	// or the snapshot changes and read without it, so Stats neither
+	// waits on a graph that is appending or folding nor skips it.
+	walBytes, walRecords, snapBytes atomic.Int64
+}
+
+// publishSizes records gs's current sizes for Stats. The caller holds
+// gs.mu, or gs is not yet shared.
+func (gs *graphStore) publishSizes() {
+	var wb, wr, sb int64
+	if gs.wal != nil {
+		wb, wr = gs.wal.Size(), gs.wal.Records()
+	}
+	if gs.snap != nil {
+		sb = int64(len(gs.snap.data))
+	}
+	gs.walBytes.Store(wb)
+	gs.walRecords.Store(wr)
+	gs.snapBytes.Store(sb)
 }
 
 // RecoveredGraph is what one graph directory recovers to: a base
@@ -272,6 +292,7 @@ func (s *Store) Register(name, spec string, g *graph.Graph, snapshot bool) error
 		s.mu.Unlock()
 		return err
 	}
+	gs.publishSizes()
 	gs.mu.Unlock()
 	return nil
 }
@@ -454,6 +475,7 @@ func (s *Store) AppendBatch(name string, version uint64, b dynamic.Batch) (bool,
 	}
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
+	defer gs.publishSizes()
 	if gs.wal == nil {
 		return false, fmt.Errorf("store: graph %q not persisted", name)
 	}
@@ -553,6 +575,7 @@ func (p *PendingCompact) Commit() error {
 	gs := p.gs
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
+	defer gs.publishSizes()
 	if gs.wal == nil {
 		return fmt.Errorf("store: graph %q not persisted", p.name)
 	}
@@ -734,6 +757,7 @@ func (s *Store) Recover() ([]RecoveredGraph, error) {
 			rg.Records = append(rg.Records, rec)
 			gs.lastVersion = rec.Version
 		}
+		gs.publishSizes()
 		s.graphs[meta.Name] = gs
 		s.recoveredGraphs++
 		s.replayedBatches += len(rg.Records)
@@ -743,11 +767,10 @@ func (s *Store) Recover() ([]RecoveredGraph, error) {
 	return out, nil
 }
 
-// Stats snapshots the store gauges. Sizes are taken from the open
-// handles, so the walk is O(graphs) with no filesystem calls. A graph
-// busy with a registration or compaction fold is skipped rather than
-// waited on (TryLock): /metrics must never stall behind a multi-MB
-// snapshot write, and the gauges are sampled anyway.
+// Stats snapshots the store gauges. Sizes are each graph's last
+// published ones, read without its lock: /metrics never stalls behind
+// a WAL fsync or a multi-MB snapshot write, and a graph that is busy
+// with one still counts.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -761,18 +784,12 @@ func (s *Store) Stats() Stats {
 		TruncatedWALs:   s.truncatedWALs,
 	}
 	for _, gs := range s.graphs {
-		if !gs.mu.TryLock() {
-			continue
-		}
-		if gs.snap != nil {
+		if b := gs.snapBytes.Load(); b > 0 {
 			st.Snapshots++
-			st.SnapshotBytes += int64(len(gs.snap.data))
+			st.SnapshotBytes += b
 		}
-		if gs.wal != nil {
-			st.WALBytes += gs.wal.Size()
-			st.WALRecords += gs.wal.Records()
-		}
-		gs.mu.Unlock()
+		st.WALBytes += gs.walBytes.Load()
+		st.WALRecords += gs.walRecords.Load()
 	}
 	return st
 }

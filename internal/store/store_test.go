@@ -630,3 +630,33 @@ func TestTailRecordsAndLastVersion(t *testing.T) {
 		t.Fatal("LastVersion on unknown graph succeeded")
 	}
 }
+
+// TestStatsReadsBusyGraph holds a graph's lock, as a WAL fsync or a
+// fold commit does, and still sees its WAL and snapshot sizes.
+func TestStatsReadsBusyGraph(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Register("up1", "upload:edgelist", testGraph(t), true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendBatch("up1", 1, dynamic.Batch{AddEdges: []graph.Edge{{U: 0, V: 9}}}); err != nil {
+		t.Fatal(err)
+	}
+	idle := st.Stats()
+	if idle.WALBytes == 0 || idle.WALRecords != 1 || idle.Snapshots != 1 || idle.SnapshotBytes == 0 {
+		t.Fatalf("idle stats %+v", idle)
+	}
+	gs, err := st.lookup("up1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.mu.Lock()
+	busy := st.Stats()
+	gs.mu.Unlock()
+	if busy != idle {
+		t.Fatalf("stats with the graph busy %+v, want %+v", busy, idle)
+	}
+}

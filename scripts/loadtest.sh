@@ -96,14 +96,17 @@ run_load -addr "http://$ADDR" -graph loadtest -spec "$SPEC" \
     -metrics-out loadtest_metrics.json
 
 # Prometheus exposition sanity while the loaded daemon is still up:
-# the scrape must be non-empty, every sample line must parse, and no
-# series may appear twice (duplicate series break real scrapers).
+# the scrape must be non-empty, every sample line must parse, no
+# series may appear twice (duplicate series break real scrapers), every
+# sample's family must have a # TYPE line before it, and a family whose
+# name ends in _total must be typed counter.
 prom_lint() { # prom_lint URL LABEL
     local prom
     prom="$(mktemp)"
     curl -sf "$1" > "$prom"
     awk -v label="$2" '
       /^$/ { next }
+      /^# TYPE / { type[$3] = $4; next }
       /^#/ { next }
       {
         if ($0 !~ /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [-+0-9.eE]*(Inf|NaN)?$/) {
@@ -114,6 +117,19 @@ prom_lint() { # prom_lint URL LABEL
         sub(/ [^ ]*$/, "", series)
         if (seen[series]++) {
           printf "loadtest: %s: duplicate series: %s\n", label, series
+          bad = 1
+        }
+        fam = series
+        sub(/\{.*$/, "", fam)
+        if (!(fam in type)) {
+          base = fam
+          if (sub(/_(bucket|sum|count)$/, "", base) && (base in type) && type[base] == "histogram") fam = base
+        }
+        if (!(fam in type)) {
+          printf "loadtest: %s: sample without a # TYPE line: %s\n", label, $0
+          bad = 1
+        } else if (fam ~ /_total$/ && type[fam] != "counter") {
+          printf "loadtest: %s: %s ends in _total but is typed %s\n", label, fam, type[fam]
           bad = 1
         }
         n++
