@@ -1,10 +1,10 @@
 // Package obs is colord's low-overhead observability core: lock-free
 // fixed-bucket latency histograms, labelled counters, families read
-// from their owner at scrape time, a Prometheus text-format writer, and bounded request tracing (request
-// IDs + an in-memory span ring). Everything is allocation-light on the
-// hot path — an Observe is a bucket search plus three atomic adds —
-// and every handle is nil-safe, so call sites never branch on whether
-// instrumentation is enabled.
+// from their owner at scrape time, a Prometheus text-format writer,
+// and bounded request tracing (request IDs + an in-memory span ring).
+// Everything is allocation-light on the hot path — an Observe is a
+// bucket search plus three atomic adds — and every handle is nil-safe,
+// so call sites never branch on whether instrumentation is enabled.
 package obs
 
 import (
@@ -137,6 +137,10 @@ var mergeMismatches atomic.Int64
 // MergeMismatches reports how many histogram merges were dropped
 // because the two snapshots' bucket layouts disagreed.
 func MergeMismatches() int64 { return mergeMismatches.Load() }
+
+// CountMergeMismatch counts a snapshot a caller left out of a merge
+// because it is not Valid, the way Merge counts a layout mismatch.
+func CountMergeMismatch() { mergeMismatches.Add(1) }
 
 // Merge returns the bucketwise sum of s and o (for aggregating the
 // same metric across label series or nodes). An empty side is an

@@ -79,14 +79,6 @@ func (m *Metrics) qualityOrZero() QualityMetrics {
 	return *m.Quality
 }
 
-// clusterAggregate is the fold of every reporting node's document: the
-// clusterSums sums by key, and each endpoint's latency histogram merged
-// bucket by bucket.
-type clusterAggregate struct {
-	sums   map[string]int64
-	merged map[string]obs.HistogramSnapshot
-}
-
 // clusterMetricsDoc is the GET /v1/cluster/metrics response.
 type clusterMetricsDoc struct {
 	Self  string `json:"self"`
@@ -133,7 +125,7 @@ func (s *Server) fetchPeerMetrics(peer string) (*Metrics, error) {
 
 // buildClusterMetrics assembles the document: concurrent peer scrapes,
 // then a deterministic fold in node order.
-func (s *Server) buildClusterMetrics() (clusterMetricsDoc, clusterAggregate) {
+func (s *Server) buildClusterMetrics() clusterMetricsDoc {
 	doc := clusterMetricsDoc{Self: s.node}
 	var nodes []string
 	if s.cl != nil {
@@ -173,7 +165,7 @@ func (s *Server) buildClusterMetrics() (clusterMetricsDoc, clusterAggregate) {
 	}
 	wg.Wait()
 
-	agg := clusterAggregate{sums: make(map[string]int64, len(clusterSums)), merged: make(map[string]obs.HistogramSnapshot)}
+	sums, merged := make(map[string]int64, len(clusterSums)), make(map[string]obs.HistogramSnapshot)
 	for _, n := range doc.Nodes {
 		m := n.Metrics
 		if m == nil {
@@ -181,43 +173,42 @@ func (s *Server) buildClusterMetrics() (clusterMetricsDoc, clusterAggregate) {
 		}
 		doc.NodesReporting++
 		for _, c := range clusterSums {
-			agg.sums[c.key] += c.field(m)
+			sums[c.key] += c.field(m)
 		}
 		for ep, snap := range m.HTTPLatency {
-			// A snapshot with no finite bound or buckets that do not
-			// match its bounds (a peer on another build, a hand-made
-			// document) cannot be merged or read for quantiles: it
-			// stays out, counted as a mismatch.
+			// A peer on another build or a hand-made document may send
+			// a snapshot whose quantiles are undefined: it stays out,
+			// counted in this node's histMergeMismatches.
 			if !snap.Valid() {
-				agg.sums["histMergeMismatches"]++
+				obs.CountMergeMismatch()
 				continue
 			}
-			agg.merged[ep] = agg.merged[ep].Merge(snap)
+			merged[ep] = merged[ep].Merge(snap)
 		}
 	}
 	doc.Aggregate = make(map[string]any, len(clusterSums)+2)
-	for k, v := range agg.sums {
-		doc.Aggregate[k] = v
+	for _, c := range clusterSums {
+		doc.Aggregate[c.key] = sums[c.key]
 	}
-	if len(agg.merged) > 0 {
-		summary := make(map[string]latencySummary, len(agg.merged))
-		for ep, snap := range agg.merged {
+	if len(merged) > 0 {
+		summary := make(map[string]latencySummary, len(merged))
+		for ep, snap := range merged {
 			if snap.Count > 0 {
 				summary[ep] = latencySummary{Count: snap.Count, P50: snap.Quantile(0.50), P95: snap.Quantile(0.95), P99: snap.Quantile(0.99)}
 			}
 		}
-		doc.Aggregate["httpLatency"] = agg.merged
+		doc.Aggregate["httpLatency"] = merged
 		doc.Aggregate["latencySummary"] = summary
 	}
-	return doc, agg
+	return doc
 }
 
-// registry renders the cluster document as typed families read from
-// this scrape's fold: the serving node's view of the membership, one
-// family per clusterSums row and the merged latency histograms.
-// latencySummary is their histogram_quantile; the per-node documents
-// stay in the JSON shape and on each node's own /metrics.
-func (a clusterAggregate) registry(doc clusterMetricsDoc) *obs.Registry {
+// registry renders the cluster document as typed families: the serving
+// node's view of the membership, one family per clusterSums row and the
+// merged latency histograms. latencySummary is their
+// histogram_quantile; the per-node documents stay in the JSON shape and
+// on each node's own /metrics.
+func (doc clusterMetricsDoc) registry() *obs.Registry {
 	r := obs.NewRegistry()
 	value := func(name, help string, v int64) {
 		r.NewFunc(name, help, promType(name), nil, func() []obs.Sample { return obs.Value(float64(v)) })
@@ -226,11 +217,12 @@ func (a clusterAggregate) registry(doc clusterMetricsDoc) *obs.Registry {
 	value("colord_cluster_nodes", "Cluster members.", int64(doc.NodesTotal))
 	value("colord_cluster_nodes_reporting", "Members whose metrics this scrape aggregated.", int64(doc.NodesReporting))
 	for _, c := range clusterSums {
-		value(c.name, "The nodes' "+c.key+", summed over the reporting nodes.", a.sums[c.key])
+		value(c.name, "The nodes' "+c.key+", summed over the reporting nodes.", doc.Aggregate[c.key].(int64))
 	}
+	merged, _ := doc.Aggregate["httpLatency"].(map[string]obs.HistogramSnapshot)
 	r.NewFunc("colord_cluster_aggregate_http_request_duration_seconds", "HTTP request duration by endpoint, merged over the reporting nodes.", "histogram", []string{"endpoint"}, func() []obs.Sample {
-		out := make([]obs.Sample, 0, len(a.merged))
-		for ep, snap := range a.merged {
+		out := make([]obs.Sample, 0, len(merged))
+		for ep, snap := range merged {
 			out = append(out, obs.Sample{Labels: []string{ep}, Hist: snap})
 		}
 		return out
@@ -245,10 +237,10 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %s on /v1/cluster/metrics (want GET)", ErrMethodNotAllowed, r.Method))
 		return
 	}
-	doc, agg := s.buildClusterMetrics()
+	doc := s.buildClusterMetrics()
 	if wantsProm(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		agg.registry(doc).WriteProm(w)
+		doc.registry().WriteProm(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)

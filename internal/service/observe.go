@@ -2,20 +2,17 @@ package service
 
 import (
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/quality"
-	"repro/internal/store"
 )
 
 // serverMetrics bundles every obs handle the serving layer observes
@@ -80,14 +77,10 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
-// registerMetrics creates the server's request counters and the
-// families read at scrape time from the owners SnapshotMetrics reads
-// for the JSON document, so s.met.reg renders every Prometheus series
-// of /metrics, each once. A family's type follows its name: _total
-// names a counter, anything else a gauge.
-func (s *Server) registerMetrics() {
-	r := s.met.reg
-	counter := func(name, help string) obs.Counter { return r.NewCounterVec(name, help, nil).With() }
+// registerCounters creates the server's request counters: stored
+// families of s.met.reg that SnapshotMetrics reads for the JSON document.
+func (s *Server) registerCounters() {
+	counter := func(name, help string) obs.Counter { return s.met.reg.NewCounterVec(name, help, nil).With() }
 	s.requests = counter("colord_requests_total", "API requests received.")
 	s.graphUploads = counter("colord_graph_uploads_total", "Graph registrations served.")
 	s.colorRequests = counter("colord_color_requests_total", "POST /v1/color requests.")
@@ -108,111 +101,92 @@ func (s *Server) registerMetrics() {
 	s.clusterResyncs = counter("colord_cluster_resyncs_total", "Graphs reset onto a peer's snapshot.")
 	s.clusterKeyHomeServes = counter("colord_cluster_key_home_serves_total", "Color reads served as the key's home.")
 	s.clusterKeyLocalHits = counter("colord_cluster_key_local_hits_total", "Color reads served off-home from the local cache.")
+}
 
-	gauge := func(name, help string, read func() (float64, bool)) {
-		r.NewFunc(name, help, promType(name), nil, func() []obs.Sample {
-			if v, ok := read(); ok {
-				return obs.Value(v)
-			}
-			return nil
-		})
-	}
-	always := func(name, help string, read func() float64) {
-		gauge(name, help, func() (float64, bool) { return read(), true })
-	}
-	cache := func() CacheStats { return s.mgr.Cache().Stats() }
-	always("colord_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(s.start).Seconds() })
-	always("colord_graphs", "Registered graphs.", func() float64 { return float64(s.reg.Len()) })
-	always("colord_cache_hits_total", "Result cache hits.", func() float64 { return float64(cache().Hits) })
-	always("colord_cache_misses_total", "Result cache misses.", func() float64 { return float64(cache().Misses) })
-	always("colord_cache_evictions_total", "Result cache evictions.", func() float64 { return float64(cache().Evictions) })
-	always("colord_cache_entries", "Colorings in the result cache.", func() float64 { return float64(cache().Entries) })
-	always("colord_cache_capacity", "Result cache capacity in entries.", func() float64 { return float64(cache().Capacity) })
-	always("colord_cache_hit_rate", "Result cache hits over lookups.", func() float64 { return cache().HitRate() })
-	always("colord_jobs_max_inflight", "Inflight coloring slots.", func() float64 { return float64(s.mgr.Stats().MaxInflight) })
-	always("colord_jobs_inflight", "Coloring slots held.", func() float64 { return float64(s.mgr.Stats().Inflight) })
-	always("colord_jobs_completed_total", "Coloring jobs completed.", func() float64 { return float64(s.mgr.Stats().Completed) })
-	always("colord_jobs_cancelled_total", "Coloring jobs cancelled by a deadline or a client.", func() float64 { return float64(s.mgr.Stats().Cancelled) })
-	always("colord_jobs_failed_total", "Coloring jobs failed.", func() float64 { return float64(s.mgr.Stats().Failed) })
-	always("colord_jobs_coalesced_total", "Requests served by an identical in-flight run.", func() float64 { return float64(s.mgr.Stats().Coalesced) })
-	always("colord_pool_forks_total", "Fork-join regions that forked.", func() float64 { return float64(par.DefaultPoolStats().Forks) })
-	always("colord_pool_dispatches_total", "Blocks handed to parked pool workers.", func() float64 { return float64(par.DefaultPoolStats().Dispatches) })
-	always("colord_pool_inline_blocks_total", "Blocks the forking goroutine ran itself.", func() float64 { return float64(par.DefaultPoolStats().InlineBlocks) })
-	always("colord_pool_seq_cutoff_hits_total", "Parallel calls run inline under the sequential grain.", func() float64 { return float64(par.DefaultPoolStats().SeqCutoffHits) })
-	always("colord_pool_workers", "Worker pool size.", func() float64 { return float64(par.Default().Procs()) })
-	always("colord_go_max_procs", "GOMAXPROCS.", func() float64 { return float64(runtime.GOMAXPROCS(0)) })
-	always("colord_hist_merge_mismatches_total", "Histogram merges dropped for mismatched bucket layouts.", func() float64 { return float64(obs.MergeMismatches()) })
+// writeProm renders the node's Prometheus view: the stored counters and
+// histograms of s.met.reg, then every other value of one SnapshotMetrics
+// (promRegistry), so a scrape reads each owner once and matches its JSON
+// document.
+func (s *Server) writeProm(w io.Writer) {
+	s.met.reg.WriteProm(w)
+	m := s.SnapshotMetrics()
+	m.promRegistry().WriteProm(w)
+}
 
-	stored := func(name, help string, field func(store.Stats) int64) {
-		gauge(name, help, func() (float64, bool) {
-			if s.st == nil {
-				return 0, false
-			}
-			return float64(field(s.st.Stats())), true
-		})
+// promRegistry renders the values m read off their owners (cache, job
+// manager, pool, store, cluster view, quality tracker) as typed
+// families; the per-graph quality families carry one series per tracked
+// graph, labeled by its name, so graphs whose names differ only in
+// punctuation or case keep their own series.
+func (m *Metrics) promRegistry() *obs.Registry {
+	r := obs.NewRegistry()
+	add := func(name, help string, labels []string, samples ...obs.Sample) {
+		r.NewFunc(name, help, promType(name), labels, func() []obs.Sample { return samples })
 	}
-	stored("colord_store_graphs", "Persisted graphs.", func(st store.Stats) int64 { return int64(st.Graphs) })
-	stored("colord_store_snapshots", "Persisted graphs with a snapshot.", func(st store.Stats) int64 { return int64(st.Snapshots) })
-	stored("colord_store_snapshot_bytes", "Bytes of the live snapshots.", func(st store.Stats) int64 { return st.SnapshotBytes })
-	stored("colord_store_wal_bytes", "Bytes of the WALs.", func(st store.Stats) int64 { return st.WALBytes })
-	stored("colord_store_wal_records", "Records in the WALs.", func(st store.Stats) int64 { return st.WALRecords })
-	stored("colord_store_wal_appends_total", "WAL appends.", func(st store.Stats) int64 { return st.WALAppends })
-	stored("colord_store_compactions_total", "Compactions committed.", func(st store.Stats) int64 { return st.Compactions })
-	stored("colord_store_recovered_graphs", "Graphs recovered at boot.", func(st store.Stats) int64 { return int64(st.RecoveredGraphs) })
-	stored("colord_store_replayed_batches", "WAL batches replayed at boot.", func(st store.Stats) int64 { return int64(st.ReplayedBatches) })
-	stored("colord_store_truncated_wals", "WALs whose torn tail was cut at boot.", func(st store.Stats) int64 { return int64(st.TruncatedWALs) })
-
-	member := func(name, help string, field func(*cluster.Cluster) int) {
-		gauge(name, help, func() (float64, bool) {
-			if s.cl == nil {
-				return 0, false
-			}
-			return float64(field(s.cl.c)), true
-		})
+	v := func(name, help string, x float64) { add(name, help, nil, obs.Sample{Value: x}) }
+	v("colord_uptime_seconds", "Seconds since the server started.", m.UptimeSeconds)
+	v("colord_graphs", "Registered graphs.", float64(m.Graphs))
+	v("colord_cache_hits_total", "Result cache hits.", float64(m.Cache.Hits))
+	v("colord_cache_misses_total", "Result cache misses.", float64(m.Cache.Misses))
+	v("colord_cache_evictions_total", "Result cache evictions.", float64(m.Cache.Evictions))
+	v("colord_cache_entries", "Colorings in the result cache.", float64(m.Cache.Entries))
+	v("colord_cache_capacity", "Result cache capacity in entries.", float64(m.Cache.Capacity))
+	v("colord_cache_hit_rate", "Result cache hits over lookups.", m.CacheHitRate)
+	v("colord_jobs_max_inflight", "Inflight coloring slots.", float64(m.Jobs.MaxInflight))
+	v("colord_jobs_inflight", "Coloring slots held.", float64(m.Jobs.Inflight))
+	v("colord_jobs_completed_total", "Coloring jobs completed.", float64(m.Jobs.Completed))
+	v("colord_jobs_cancelled_total", "Coloring jobs cancelled by a deadline or a client.", float64(m.Jobs.Cancelled))
+	v("colord_jobs_failed_total", "Coloring jobs failed.", float64(m.Jobs.Failed))
+	v("colord_jobs_coalesced_total", "Requests served by an identical in-flight run.", float64(m.Jobs.Coalesced))
+	v("colord_pool_forks_total", "Fork-join regions that forked.", float64(m.Pool.Forks))
+	v("colord_pool_dispatches_total", "Blocks handed to parked pool workers.", float64(m.Pool.Dispatches))
+	v("colord_pool_inline_blocks_total", "Blocks the forking goroutine ran itself.", float64(m.Pool.InlineBlocks))
+	v("colord_pool_seq_cutoff_hits_total", "Parallel calls run inline under the sequential grain.", float64(m.Pool.SeqCutoffHits))
+	v("colord_pool_workers", "Worker pool size.", float64(m.PoolWorkers))
+	v("colord_go_max_procs", "GOMAXPROCS.", float64(m.GoMaxProcs))
+	v("colord_hist_merge_mismatches_total", "Histogram merges dropped for mismatched bucket layouts.", float64(m.HistMergeMismatches))
+	if st := m.Store; st != nil {
+		v("colord_store_graphs", "Persisted graphs.", float64(st.Graphs))
+		v("colord_store_snapshots", "Persisted graphs with a snapshot.", float64(st.Snapshots))
+		v("colord_store_snapshot_bytes", "Bytes of the live snapshots.", float64(st.SnapshotBytes))
+		v("colord_store_wal_bytes", "Bytes of the WALs.", float64(st.WALBytes))
+		v("colord_store_wal_records", "Records in the WALs.", float64(st.WALRecords))
+		v("colord_store_wal_appends_total", "WAL appends.", float64(st.WALAppends))
+		v("colord_store_compactions_total", "Compactions committed.", float64(st.Compactions))
+		v("colord_store_recovered_graphs", "Graphs recovered at boot.", float64(st.RecoveredGraphs))
+		v("colord_store_replayed_batches", "WAL batches replayed at boot.", float64(st.ReplayedBatches))
+		v("colord_store_truncated_wals", "WALs whose torn tail was cut at boot.", float64(st.TruncatedWALs))
 	}
-	member("colord_cluster_nodes", "Cluster members.", func(c *cluster.Cluster) int { return len(c.Nodes()) })
-	member("colord_cluster_replicas", "Placement set size per graph.", (*cluster.Cluster).Replicas)
-	member("colord_cluster_epoch", "Membership epoch.", func(c *cluster.Cluster) int { return int(c.Epoch()) })
-
-	always("colord_quality_enabled", "Whether the background recolor worker runs (1) or not (0).", func() float64 {
-		if s.qrun != nil {
-			return 1
+	if c := m.Cluster; c != nil {
+		v("colord_cluster_nodes", "Cluster members.", float64(c.Nodes))
+		v("colord_cluster_replicas", "Placement set size per graph.", float64(c.Replicas))
+		v("colord_cluster_epoch", "Membership epoch.", float64(c.Epoch))
+	}
+	q := m.Quality
+	v("colord_quality_enabled", "Whether the background recolor worker runs (1) or not (0).", boolValue(q.Enabled))
+	v("colord_quality_cycles_total", "Recolor worker wakeups that swept.", float64(q.Cycles))
+	v("colord_quality_skipped_cycles_total", "Recolor worker wakeups skipped because jobs were inflight.", float64(q.SkippedCycles))
+	v("colord_quality_passes_total", "Iterated-greedy passes run.", float64(q.Passes))
+	v("colord_quality_improvements_total", "Recolor improvements adopted.", float64(q.Improvements))
+	v("colord_recolor_colors_saved_total", "Colors removed from maintained colorings by adopted recolor improvements.", float64(q.ColorsSaved))
+	graph := func(name, help string, x func(quality.State) float64) {
+		var samples []obs.Sample
+		for g, st := range q.Graphs {
+			samples = append(samples, obs.Sample{Labels: []string{g}, Value: x(st)})
 		}
-		return 0
-	})
-	always("colord_quality_cycles_total", "Recolor worker wakeups that swept.", func() float64 { return float64(s.qualityMetrics().Cycles) })
-	always("colord_quality_skipped_cycles_total", "Recolor worker wakeups skipped because jobs were inflight.", func() float64 { return float64(s.qualityMetrics().SkippedCycles) })
-	always("colord_quality_passes_total", "Iterated-greedy passes run.", func() float64 { p, _, _ := s.qtr.Totals(); return float64(p) })
-	always("colord_quality_improvements_total", "Recolor improvements adopted.", func() float64 { _, i, _ := s.qtr.Totals(); return float64(i) })
-	always("colord_recolor_colors_saved_total", "Colors removed from maintained colorings by adopted recolor improvements.", func() float64 { _, _, c := s.qtr.Totals(); return float64(c) })
-
-	// One series per tracked graph, labeled by its name, so graphs whose
-	// names differ only in punctuation or case keep their own series.
-	tracked := func(name, help string, field func(quality.State) int64) {
-		r.NewFunc(name, help, promType(name), []string{"graph"}, func() []obs.Sample {
-			snap := s.qtr.Snapshot()
-			out := make([]obs.Sample, 0, len(snap))
-			for g, st := range snap {
-				out = append(out, obs.Sample{Labels: []string{g}, Value: float64(field(st))})
-			}
-			return out
-		})
+		add(name, help, []string{"graph"}, samples...)
 	}
-	tracked("colord_graph_quality_colors", "Maintained coloring's distinct color count by graph.", func(st quality.State) int64 { return int64(st.Colors) })
-	tracked("colord_graph_quality_initial_colors", "Distinct color count at the graph's first observation.", func(st quality.State) int64 { return int64(st.InitialColors) })
-	tracked("colord_graph_quality_target_colors", "targetColors quality objective by graph (0: none).", func(st quality.State) int64 { return int64(st.TargetColors) })
-	tracked("colord_graph_quality_version", "Graph version the color count was observed at.", func(st quality.State) int64 { return int64(st.Version) })
-	tracked("colord_graph_quality_passes_total", "Iterated-greedy passes run by graph.", func(st quality.State) int64 { return st.Passes })
-	tracked("colord_graph_quality_improvements_total", "Recolor improvements adopted by graph.", func(st quality.State) int64 { return st.Improvements })
-	tracked("colord_graph_quality_colors_saved_total", "Colors removed by adopted recolor improvements by graph.", func(st quality.State) int64 { return st.ColorsSaved })
-	tracked("colord_graph_quality_last_pass_timestamp_seconds", "Unix time of the graph's last recolor pass (0: never).", func(st quality.State) int64 { return st.LastPassUnix })
-	tracked("colord_graph_quality_last_improvement_timestamp_seconds", "Unix time of the graph's last adopted improvement (0: never).", func(st quality.State) int64 { return st.LastImprovementUnix })
-	tracked("colord_graph_quality_slo_met", "Whether the graph's quality SLO is met (1) or not (0).", func(st quality.State) int64 {
-		if st.Met() {
-			return 1
-		}
-		return 0
-	})
+	graph("colord_graph_quality_colors", "Maintained coloring's distinct color count by graph.", func(st quality.State) float64 { return float64(st.Colors) })
+	graph("colord_graph_quality_initial_colors", "Distinct color count at the graph's first observation.", func(st quality.State) float64 { return float64(st.InitialColors) })
+	graph("colord_graph_quality_target_colors", "targetColors quality objective by graph (0: none).", func(st quality.State) float64 { return float64(st.TargetColors) })
+	graph("colord_graph_quality_version", "Graph version the color count was observed at.", func(st quality.State) float64 { return float64(st.Version) })
+	graph("colord_graph_quality_passes_total", "Iterated-greedy passes run by graph.", func(st quality.State) float64 { return float64(st.Passes) })
+	graph("colord_graph_quality_improvements_total", "Recolor improvements adopted by graph.", func(st quality.State) float64 { return float64(st.Improvements) })
+	graph("colord_graph_quality_colors_saved_total", "Colors removed by adopted recolor improvements by graph.", func(st quality.State) float64 { return float64(st.ColorsSaved) })
+	graph("colord_graph_quality_last_pass_timestamp_seconds", "Unix time of the graph's last recolor pass (0: never).", func(st quality.State) float64 { return float64(st.LastPassUnix) })
+	graph("colord_graph_quality_last_improvement_timestamp_seconds", "Unix time of the graph's last adopted improvement (0: never).", func(st quality.State) float64 { return float64(st.LastImprovementUnix) })
+	graph("colord_graph_quality_slo_met", "Whether the graph's quality SLO is met (1) or not (0).", func(st quality.State) float64 { return boolValue(st.Met()) })
+	return r
 }
 
 // promType is the exposition type a family's name implies.
@@ -223,19 +197,20 @@ func promType(name string) string {
 	return "gauge"
 }
 
+// boolValue is a flag's sample value: 1 for true, 0 for false.
+func boolValue(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // httpSnapshots merges the per-(endpoint, class) series into one
 // snapshot per endpoint — the per-endpoint server-side latency view
 // colorload diffs across a run.
 func (m *serverMetrics) httpSnapshots() map[string]obs.HistogramSnapshot {
-	if m == nil {
-		return nil
-	}
-	raw := m.httpDur.Snapshots()
-	if len(raw) == 0 {
-		return nil
-	}
 	out := make(map[string]obs.HistogramSnapshot)
-	for k, s := range raw {
+	for k, s := range m.httpDur.Snapshots() {
 		ep := k
 		if i := strings.LastIndexByte(k, ','); i >= 0 {
 			ep = k[:i]
@@ -243,15 +218,6 @@ func (m *serverMetrics) httpSnapshots() map[string]obs.HistogramSnapshot {
 		out[ep] = out[ep].Merge(s)
 	}
 	return out
-}
-
-// runsByProcs is the JSON view of jobRuns: run counts keyed by worker
-// count.
-func (m *serverMetrics) runsByProcs() map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	return m.jobRuns.Values()
 }
 
 // observePhases records an engine run's phase timings and mirrors

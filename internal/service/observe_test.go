@@ -98,6 +98,25 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Fatalf("prom content type = %q", ct)
 		}
 		lintProm(t, body, doc, metricsFamilies)
+		// The stored histogram and counter families every node carries.
+		for _, name := range []string{
+			"colord_http_request_duration_seconds_bucket",
+			"colord_http_request_duration_seconds_count",
+			"colord_job_queue_wait_seconds_count",
+			"colord_job_run_seconds_count",
+			"colord_job_runs_total",
+			"colord_job_singleflight_wait_seconds_count",
+			"colord_engine_phase_seconds_count",
+			"colord_mutate_dirty_fraction_count",
+			"colord_mutate_repair_seconds_count",
+			"colord_store_wal_append_seconds_count",
+			"colord_store_compaction_seconds_count",
+			"colord_recolor_pass_seconds_count",
+		} {
+			if !regexp.MustCompile(`(?m)^` + name + `[{ ]`).MatchString(body) {
+				t.Fatalf("expected family %s missing from exposition", name)
+			}
+		}
 		if !strings.Contains(body, `le="+Inf"`) {
 			t.Fatal("histogram exposition carries no +Inf bucket")
 		}
@@ -518,7 +537,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 // promValue reads one series' value from s's Prometheus exposition.
 func promValue(s *Server, series string) (float64, bool) {
 	var b strings.Builder
-	s.met.reg.WriteProm(&b)
+	s.writeProm(&b)
 	for _, line := range strings.Split(b.String(), "\n") {
 		if v, ok := strings.CutPrefix(line, series+" "); ok {
 			f, err := strconv.ParseFloat(v, 64)
@@ -563,7 +582,10 @@ func TestQualitySeriesPerGraph(t *testing.T) {
 // TestClusterMetricsDropsMalformedPeerHistograms feeds the cluster
 // aggregate a peer document whose latency snapshots do not match their
 // bounds, one with no finite bound at all: both stay out of the merged
-// histograms and count as merge mismatches, and neither view fails.
+// histograms and neither view fails. Each scrape counts the two drops
+// where Merge counts a layout mismatch, in the process-wide counter the
+// local document reports, so the aggregate's histMergeMismatches only
+// goes up.
 func TestClusterMetricsDropsMalformedPeerHistograms(t *testing.T) {
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, `{"requests": 5, "colorRequests": 2, "httpLatency": {
@@ -578,37 +600,35 @@ func TestClusterMetricsDropsMalformedPeerHistograms(t *testing.T) {
 	}
 	s.AttachCluster(c, ClusterOptions{})
 
-	body, _ := getText(t, ts.URL+"/v1/cluster/metrics", "")
-	var doc struct {
-		NodesReporting int
-		Nodes          []clusterNodeMetrics
-		Aggregate      struct {
-			Requests, ColorRequests, HistMergeMismatches int64
-			HTTPLatency                                  map[string]obs.HistogramSnapshot
+	scrape := func() int64 {
+		t.Helper()
+		before := obs.MergeMismatches()
+		body, _ := getText(t, ts.URL+"/v1/cluster/metrics", "")
+		var doc struct {
+			NodesReporting int
+			Aggregate      struct {
+				ColorRequests, HistMergeMismatches int64
+				HTTPLatency                        map[string]obs.HistogramSnapshot
+			}
 		}
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("%v: %q", err, body)
-	}
-	if doc.NodesReporting != 2 || doc.Aggregate.ColorRequests != 2 {
-		t.Fatalf("aggregate of the local node and the peer: %s", body)
-	}
-	var self *Metrics
-	for _, n := range doc.Nodes {
-		if n.Node == ts.URL {
-			self = n.Metrics
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("%v: %q", err, body)
 		}
-	}
-	if self == nil {
-		t.Fatalf("no local document in %s", body)
-	}
-	if want := self.HistMergeMismatches + 2; doc.Aggregate.HistMergeMismatches != want {
-		t.Fatalf("histMergeMismatches = %d, want %d", doc.Aggregate.HistMergeMismatches, want)
-	}
-	for _, ep := range []string{"/v1/graphs", "/v1/color/bin"} {
-		if _, ok := doc.Aggregate.HTTPLatency[ep]; ok {
-			t.Fatalf("malformed %s snapshot merged into the aggregate", ep)
+		if doc.NodesReporting != 2 || doc.Aggregate.ColorRequests != 2 {
+			t.Fatalf("aggregate of the local node and the peer: %s", body)
 		}
+		for _, ep := range []string{"/v1/graphs", "/v1/color/bin"} {
+			if _, ok := doc.Aggregate.HTTPLatency[ep]; ok {
+				t.Fatalf("malformed %s snapshot merged into the aggregate", ep)
+			}
+		}
+		if n := obs.MergeMismatches() - before; n != 2 {
+			t.Fatalf("scrape counted %d merge mismatches, want 2", n)
+		}
+		return doc.Aggregate.HistMergeMismatches
+	}
+	if first, second := scrape(), scrape(); second != first+2 {
+		t.Fatalf("histMergeMismatches %d, then %d: want the second 2 higher", first, second)
 	}
 
 	prom, _ := getText(t, ts.URL+"/v1/cluster/metrics?format=prom", "")

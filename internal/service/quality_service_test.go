@@ -188,7 +188,7 @@ func TestQualityEndpointLifecycle(t *testing.T) {
 		t.Fatalf("metrics quality = %+v", m.Quality)
 	}
 	var prom bytes.Buffer
-	s.met.reg.WriteProm(&prom)
+	s.writeProm(&prom)
 	for _, family := range []string{"colord_recolor_pass_seconds", "colord_recolor_colors_saved_total", "colord_graph_quality_colors", "colord_graph_quality_slo_met"} {
 		if !strings.Contains(prom.String(), family) {
 			t.Fatalf("prom exposition missing %s", family)

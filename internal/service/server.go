@@ -70,7 +70,7 @@ type Server struct {
 	qtr  *quality.Tracker
 	qrun *quality.Runner
 
-	// Request counters: registry series (see registerMetrics) that
+	// Request counters: registry series (see registerCounters) that
 	// SnapshotMetrics reads for the JSON document.
 	requests           obs.Counter // every API request
 	graphUploads       obs.Counter
@@ -113,7 +113,7 @@ func NewServer(cfg ManagerConfig) *Server {
 		qtr:   quality.NewTracker(),
 	}
 	s.mgr.met = s.met
-	s.registerMetrics()
+	s.registerCounters()
 	s.mux.HandleFunc("/v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("/v1/graphs/", s.handleGraphSub)
 	s.mux.HandleFunc("/v1/color", s.handleColor)
@@ -639,7 +639,7 @@ func (s *Server) SnapshotMetrics() Metrics {
 		PoolWorkers:        par.Default().Procs(),
 		GoMaxProcs:         runtime.GOMAXPROCS(0),
 	}
-	m.Jobs.RunsByProcs = s.met.runsByProcs()
+	m.Jobs.RunsByProcs = s.met.jobRuns.Values()
 	m.PersistErrors = s.persistErrors.Value()
 	m.CompactRequests = s.compactRequests.Value()
 	if s.st != nil {
@@ -738,13 +738,12 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the metrics document in two negotiated shapes:
 // the JSON snapshot (unchanged — existing clients and tests), or
 // Prometheus text exposition when the client asks via ?format=prom or
-// Accept: text/plain. The obs registry renders the exposition alone:
-// every JSON value has its typed family there (see registerMetrics),
-// read from the same counters and owners.
+// Accept: text/plain. obs registries render the exposition alone:
+// every JSON value has its typed family there (see writeProm).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if wantsProm(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.met.reg.WriteProm(w)
+		s.writeProm(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.SnapshotMetrics())

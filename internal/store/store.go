@@ -59,10 +59,10 @@ type Meta struct {
 
 // graphStore is the open persistent state of one graph. mu guards
 // every field but the published sizes: appends, compaction folds and
-// the final close all serialize per graph, so the global Store.mu is only ever
-// held for map lookups — never across disk I/O. Lock order is always
-// Store.mu before graphStore.mu; nothing acquires Store.mu while
-// holding a graphStore.mu.
+// the final close all serialize per graph, so the global Store.mu is
+// only ever held for map lookups — never across disk I/O. Lock order
+// is always Store.mu before graphStore.mu; nothing acquires Store.mu
+// while holding a graphStore.mu.
 type graphStore struct {
 	mu   sync.Mutex
 	dir  string
