@@ -180,7 +180,8 @@
 //
 // /metrics content-negotiates: the default JSON document is unchanged,
 // and Prometheus text exposition format is served when the client asks
-// for it. One obs registry renders it: each JSON value has one typed
+// for it. obs registries render it from the counters, histograms and
+// snapshot the JSON document reads: each JSON value has one typed
 // family (counters end in _total), plus the latency histograms:
 //
 //	curl -s localhost:8712/metrics?format=prom

@@ -101,9 +101,9 @@ func (r *Registry) NewCounterVec(name, help string, labels []string) *CounterVec
 // NewFunc registers a family of type typ ("counter", "gauge" or
 // "histogram") whose series the registry does not hold: read returns
 // them at every scrape, in any order, from the state their owner keeps
-// (a cache's counters, a tracker's per-graph map, a merged peer
-// document), so the exposition cannot drift from that state. A scrape
-// whose read returns no samples leaves the family out.
+// (a metrics snapshot taken for this scrape, a merged peer document),
+// so the exposition cannot drift from that state. A scrape whose read
+// returns no samples leaves the family out.
 func (r *Registry) NewFunc(name, help, typ string, labels []string, read func() []Sample) {
 	r.add(&family{name: name, help: help, typ: typ, labels: labels, read: read})
 }
