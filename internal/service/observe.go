@@ -144,7 +144,7 @@ func (m *Metrics) promRegistry() *obs.Registry {
 	v("colord_pool_seq_cutoff_hits_total", "Parallel calls run inline under the sequential grain.", float64(m.Pool.SeqCutoffHits))
 	v("colord_pool_workers", "Worker pool size.", float64(m.PoolWorkers))
 	v("colord_go_max_procs", "GOMAXPROCS.", float64(m.GoMaxProcs))
-	v("colord_hist_merge_mismatches_total", "Histogram merges dropped for mismatched bucket layouts.", float64(m.HistMergeMismatches))
+	v("colord_hist_merge_mismatches_total", "Histogram snapshots left out of a merge: mismatched bucket layouts or malformed peer snapshots.", float64(m.HistMergeMismatches))
 	if st := m.Store; st != nil {
 		v("colord_store_graphs", "Persisted graphs.", float64(st.Graphs))
 		v("colord_store_snapshots", "Persisted graphs with a snapshot.", float64(st.Snapshots))
